@@ -514,6 +514,9 @@ class ProcessPool(Executor):
                 with self._cond:
                     self._inflight -= 1
                     self._cond.notify_all()
+            # Not at the next popleft: an array dying there would free
+            # its segment while this thread holds ``_cond``.
+            del task
 
     def _collect(self) -> None:
         """Complete futures from worker result messages."""
@@ -524,7 +527,14 @@ class ProcessPool(Executor):
             kind, tid, payload = message
             task = self._shipped.pop(tid, None)
             if task is None:
-                continue  # completed via another path (shutdown strand)
+                # Completed via another path (worker-death reclaim,
+                # shutdown strand): still unlink the result's segments.
+                if kind == "done":
+                    try:
+                        shm_plane.consume_oneshot(payload)
+                    except Exception:
+                        pass  # best effort: the value is discarded anyway
+                continue
             future = task.future
             try:
                 if kind == "done":
@@ -554,6 +564,9 @@ class ProcessPool(Executor):
                 with self._cond:
                     self._inflight -= 1
                     self._cond.notify_all()
+            # Now, not at the next message: an exported array nobody
+            # else holds frees its segment here.
+            del task
 
     # -- deadline reaper (parent side, pending futures only) -----------------
 

@@ -6,11 +6,11 @@ image workloads that dominate the real-speedup demos, the transport
 would eat the speedup.  This module moves bulk array payloads through
 ``multiprocessing.shared_memory`` instead:
 
-* the parent :class:`ShmArena` *exports* each distinct array once into a
-  named segment (cached by object identity, so submitting 64 tasks over
-  one corpus copies it once), and :func:`encode_payload` rewrites
-  args/kwargs so every qualifying ``ndarray`` becomes a tiny picklable
-  :class:`ShmRef` handle;
+* the parent :class:`ShmArena` *exports* each distinct live array once
+  into a named segment (cached by object identity, so submitting 64
+  tasks over one corpus copies it once), and :func:`encode_payload`
+  rewrites args/kwargs so every qualifying ``ndarray`` becomes a tiny
+  picklable :class:`ShmRef` handle;
 * the worker *attaches* the named segment and reconstructs a zero-copy
   read-only view for the task body (:class:`ShmAttachments`), closing
   its mapping when the task finishes;
@@ -26,14 +26,23 @@ CPython < 3.13 registers every ``SharedMemory`` with the per-process
 ``resource_tracker``, which then "helpfully" unlinks segments when *any*
 process that touched them exits — fatal for segments whose lifetime is
 managed across the parent/worker boundary.  :func:`open_untracked`
-unregisters immediately after open, making lifetime fully explicit: the
-arena unlinks its exports at ``close()``, one-shot segments are unlinked
-by the consuming parent.
+opens segments untracked, so every lifetime is explicit:
+
+* an argument segment lives exactly as long as the array it was
+  exported from: the arena unlinks it on whichever thread that array
+  dies, and :meth:`ShmArena.close` frees the ones still alive.  The pool
+  holds a task's arguments until its result is in, and a worker closes
+  its attachments before it replies, so a segment is never freed under
+  a task whose result is still wanted;
+* a one-shot result segment is unlinked by the parent that consumes it,
+  also when the result is dropped because its task was already
+  resolved elsewhere.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -67,7 +76,10 @@ class ShmRef:
     oneshot: bool = False  # worker-created result segment: consumer unlinks
 
 
-_open_lock = threading.Lock()
+#: Re-entrant: an arena frees a segment from a ``weakref`` callback, and
+#: cyclic GC can run that callback inside an allocation made while this
+#: thread already holds the lock.
+_open_lock = threading.RLock()
 
 
 def open_untracked(name: str | None = None, create: bool = False, size: int = 0):
@@ -113,26 +125,54 @@ def unlink_untracked(shm: Any) -> None:
             resource_tracker.unregister = original
 
 
-class ShmArena:
-    """Parent-side export cache: one segment per distinct array object.
+def _free(shm: Any) -> None:
+    """Unmap and unlink one segment; best effort (a vanished one is gone)."""
+    try:
+        shm.close()
+        unlink_untracked(shm)
+    except Exception:
+        pass
 
-    Keyed by ``id(array)`` *while holding a strong reference* to the
-    array, so an id can never be recycled into a stale cache hit.  The
-    arena owns its segments: :meth:`close` unmaps and unlinks them all,
-    which is safe once workers have exited (worker mappings are closed
-    per task).
+
+def _release(exports: dict, key: int, shm: Any) -> None:
+    """``weakref`` callback run as an exported array dies.
+
+    The entry goes first, before the id can be reused by a new array
+    (the dying array's memory is only released after its callbacks), so
+    a reused id never hits a stale cache entry.
+    """
+    exports.pop(key, None)
+    _free(shm)
+
+
+class ShmArena:
+    """Parent-side export cache: one segment per distinct *live* array.
+
+    Keyed by ``id(array)``.  Each export carries a ``weakref.finalize``
+    on its array that drops the entry and frees the segment the moment
+    the array dies, on whichever thread that happens — so a reused id
+    can never be a stale cache hit, and a long-lived pool holds only the
+    segments of arrays someone still references.  Every array shared by
+    several tasks is still copied once, for as long as it lives.
+
+    The callback can fire on any thread, including inside this module
+    while it holds ``_open_lock``, so ``_exports`` is only touched with
+    single GIL-atomic dict operations and no lock.  :meth:`close` frees
+    each remaining segment once: whichever of ``close`` and the dying
+    array's callback claims the finalizer first does the free.
     """
 
     def __init__(self, threshold: int = DEFAULT_THRESHOLD) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        self._exports: dict[int, tuple[ShmRef, Any, np.ndarray]] = {}
-        self.bytes_exported = 0
+        self._exports: dict[int, tuple[ShmRef, Any, weakref.finalize]] = {}
+        self.bytes_exported = 0  # cumulative: counts freed exports too
 
     def export(self, arr: np.ndarray) -> ShmRef:
-        """Park ``arr`` in a segment (cached); returns its handle."""
-        cached = self._exports.get(id(arr))
+        """Park ``arr`` in a segment (cached while it lives); returns its handle."""
+        key = id(arr)
+        cached = self._exports.get(key)
         if cached is not None:
             return cached[0]
         data = np.ascontiguousarray(arr)
@@ -140,8 +180,9 @@ class ShmArena:
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
         view[...] = data
         ref = ShmRef(name=shm.name, shape=tuple(data.shape), dtype=str(data.dtype))
-        # Keep ``arr`` (not ``data``) alive: its id is the cache key.
-        self._exports[id(arr)] = (ref, shm, arr)
+        # Watch ``arr`` (not ``data``): its id is the cache key.
+        finalizer = weakref.finalize(arr, _release, self._exports, key, shm)
+        self._exports[key] = (ref, shm, finalizer)
         self.bytes_exported += data.nbytes
         return ref
 
@@ -153,17 +194,23 @@ class ShmArena:
 
     @property
     def segments(self) -> int:
+        """Segments held now: one per live exported array."""
         return len(self._exports)
 
     def close(self) -> None:
-        """Unmap and unlink every exported segment; idempotent."""
-        exports, self._exports = self._exports, {}
-        for _ref, shm, _arr in exports.values():
+        """Free every segment still held; idempotent.
+
+        Safe once workers have exited (worker mappings are closed per
+        task).  Arrays that die afterwards free nothing more.
+        """
+        while True:
             try:
-                shm.close()
-                unlink_untracked(shm)
-            except Exception:
-                pass  # best effort: a vanished segment is already gone
+                _key, (_ref, shm, finalizer) = self._exports.popitem()
+            except KeyError:
+                return
+            if finalizer.detach() is not None:
+                _free(shm)
+            # else the array is dying right now and its callback frees
 
     def __repr__(self) -> str:
         return f"ShmArena(segments={self.segments}, bytes={self.bytes_exported})"
