@@ -21,6 +21,7 @@ why quicksort's speedup is sublinear, a lesson the bench shows).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,14 @@ def quicksort_chunks(executor: Executor, values: Sequence, chunks: int | None = 
     plane).  Returns a sorted ``ndarray``; it is *not* a new
     ``quicksort`` variant because the golden-output tests pin
     :data:`VARIANTS`.
+
+    The split runs in the submitting process before any bucket task can
+    start, so it is the algorithm's serial fraction, and it takes one
+    pass over the bucket index: one ``bincount`` gives the bucket sizes,
+    and one stable argsort of the small-int index lays the buckets out
+    back to back, each bucket then a slice.  Stability keeps every
+    bucket's elements in input order, so the buckets, and the costs
+    declared for them, are those a mask per bucket would give.
     """
     data = np.asarray(values)
     if data.ndim != 1:
@@ -149,14 +158,17 @@ def quicksort_chunks(executor: Executor, values: Sequence, chunks: int | None = 
     pivots = sample[pivot_at]
     which = np.searchsorted(pivots, data, side="right")
     executor.compute(COST_PER_ELEMENT * len(data))  # the partition pass
+    sizes = np.bincount(which, minlength=parts).tolist()
+    # NumPy radix-sorts 8- and 16-bit keys when asked for a stable sort.
+    grouped = data[np.argsort(which.astype(np.min_scalar_type(parts - 1)), kind="stable")]
     futures = [
         executor.submit(
             _sort_bucket,
-            data[which == i],
-            cost=COST_PER_ELEMENT * max(1, int(np.count_nonzero(which == i))),
+            grouped[end - size : end],
+            cost=COST_PER_ELEMENT * max(1, size),
             name=f"bucket[{i}]",
         )
-        for i in range(parts)
+        for i, (size, end) in enumerate(zip(sizes, accumulate(sizes)))
     ]
     return np.concatenate([f.result() for f in futures])
 

@@ -26,7 +26,6 @@ row retries (fresh task ids draw fresh fault coin-flips), and both
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -57,7 +56,9 @@ def default_cores() -> int:
     (and the table will honestly show speedup ~1x); more than four adds
     spawn cost without changing the story.
     """
-    return min(4, max(2, os.cpu_count() or 1))
+    from repro.executor.processes import usable_cpus  # keeps registry import light
+
+    return min(4, max(2, usable_cpus()))
 
 
 def _workloads(seed: int):

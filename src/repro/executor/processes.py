@@ -37,6 +37,15 @@ Design notes
 * **No barriers, flat tasks only.**  Executors are not picklable, so a
   task body cannot submit nested tasks; workloads decompose flat
   (``matmul_tasks``, ``quicksort_chunks``).  ``barrier()`` raises.
+* **Native-thread budget.**  Each worker's BLAS/OpenMP runtime gets
+  ``max(1, usable_cpus() // workers)`` threads, through
+  ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``
+  set in ``os.environ`` while the workers start (spawn has no
+  per-child environment) and removed afterwards.  Left alone, every
+  worker sizes its pool to the whole host, and those threads keep
+  spinning after each call, so N workers oversubscribe the CPUs and
+  starve the parent.  If the user set any of the three, the
+  environment passes through untouched.
 
 Workers are started with the ``spawn`` method unconditionally — it is
 the only start method that is safe with threads in the parent and
@@ -72,7 +81,42 @@ from repro.resilience.cancel import CancelledError, CancelToken, DeadlineExceede
 from repro.resilience.faults import FaultPlan, InjectedFault, resolve_faults
 from repro.resilience.remote import RemoteCancelChannel, WorkerCancelListener
 
-__all__ = ["ProcessPool"]
+__all__ = ["ProcessPool", "usable_cpus"]
+
+#: The variables BLAS and OpenMP runtimes size their thread pools from.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: Held while a pool starts workers with :data:`_THREAD_VARS` set in ``os.environ``.
+_env_lock = threading.Lock()
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (``taskset``,
+    cgroup cpusets) where the platform has one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _native_thread_budget(threads: int) -> Iterator[None]:
+    """Give a process started inside the block ``threads`` native threads.
+
+    Spawn has no per-child environment: a child copies ``os.environ`` as
+    it starts.  So the budget goes into the parent's environment for the
+    block and comes out after it.  If the user set any of
+    :data:`_THREAD_VARS`, the environment passes through untouched.
+    """
+    with _env_lock:
+        if any(var in os.environ for var in _THREAD_VARS):
+            yield
+            return
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(threads)))
+        try:
+            yield
+        finally:
+            for var in _THREAD_VARS:
+                os.environ.pop(var, None)
 
 
 @dataclass(frozen=True)
@@ -256,6 +300,7 @@ class ProcessPool(Executor):
 
         send_conns = []
         self._processes = []
+        threads = max(1, usable_cpus() // workers)
         for wid in range(workers):
             recv_conn, send_conn = ctx.Pipe(duplex=False)
             send_conns.append(send_conn)
@@ -273,7 +318,8 @@ class ProcessPool(Executor):
                 name=f"{name}-w{wid}",
                 daemon=True,
             )
-            proc.start()
+            with _native_thread_budget(threads):
+                proc.start()
             recv_conn.close()  # the child holds its own copy now
             self._processes.append(proc)
         self._channel = RemoteCancelChannel(send_conns)

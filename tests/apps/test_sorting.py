@@ -1,10 +1,11 @@
 """Tests for project 2: parallel quicksort three ways."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.sorting import VARIANTS, quicksort, random_array
+from repro.apps.sorting import COST_PER_ELEMENT, VARIANTS, quicksort, quicksort_chunks, random_array
 from repro.executor import InlineExecutor, SimExecutor
 from repro.machine import MachineSpec
 
@@ -51,6 +52,46 @@ class TestCorrectness:
         ex = InlineExecutor()
         for variant in VARIANTS:
             assert quicksort(ex, xs, variant=variant, cutoff=16) == sorted(xs)
+
+
+def mask_bucket_sizes(data: np.ndarray, parts: int) -> list[int]:
+    """Reference split: the samplesort's pivots, then one mask per bucket."""
+    sample = np.sort(data[:: max(1, len(data) // (parts * 32))])
+    pivots = sample[np.linspace(0, len(sample) - 1, parts + 1).astype(int)[1:-1]]
+    which = np.searchsorted(pivots, data, side="right")
+    return [int(np.count_nonzero(which == i)) for i in range(parts)]
+
+
+@st.composite
+def samplesort_inputs(draw):
+    """Ints or floats from a small pool, so duplicates are common, floats
+    with NaN and infinities, and chunk counts that outnumber the distinct
+    values (empty buckets) or the elements (no split at all)."""
+    if draw(st.booleans()):
+        data = np.array(draw(st.lists(st.integers(-4, 4), max_size=400)), dtype=np.int64)
+    else:
+        pool = st.sampled_from([np.nan, -np.inf, np.inf, -0.5, 0.0, 0.25, 1e300])
+        values = draw(st.lists(st.one_of(pool, st.floats(-1, 1)), max_size=400))
+        data = np.array(values, dtype=np.float64)
+    return data, draw(st.integers(1, len(data) + 3))
+
+
+class TestSamplesortSplit:
+    """``quicksort_chunks`` splits in one pass and moves no element or cost."""
+
+    @given(samplesort_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_output_and_declared_costs(self, case):
+        data, chunks = case
+        out = quicksort_chunks(InlineExecutor(), data, chunks=chunks)
+        assert out.dtype == data.dtype
+        assert np.array_equal(out, np.sort(data), equal_nan=True)
+
+        sim = SimExecutor(MachineSpec(name="m", cores=4, dispatch_overhead=0.0))
+        quicksort_chunks(sim, data, chunks=chunks)
+        sizes = mask_bucket_sizes(data, chunks) if 1 < chunks < len(data) else []
+        declared = {seg.name: seg.cost for seg in sim.graph if seg.name.startswith("bucket[")}
+        assert declared == {f"bucket[{i}]": COST_PER_ELEMENT * max(1, n) for i, n in enumerate(sizes)}
 
 
 class TestSpeedupShapes:

@@ -8,6 +8,7 @@ backend asks of applications.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from repro.apps.kernels.matmul import matmul_tasks
 from repro.apps.sorting import quicksort_chunks
 from repro.executor import ExecutorShutdown, create
+from repro.executor.processes import usable_cpus
 from repro.obs import TraceRecorder
 from repro.resilience import (
     CancelledError,
@@ -24,6 +26,8 @@ from repro.resilience import (
     FaultPlan,
     InjectedFault,
 )
+
+from tests.executor.spawn_tasks import THREAD_VARS, thread_env
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +164,37 @@ class TestConfigSurface:
             assert type(ex).__name__ == "ProcessPool"
         finally:
             ex.shutdown()
+
+
+class TestNativeThreadBudget:
+    """Each worker's BLAS/OpenMP runtime gets its share of the usable
+    CPUs, through variables the parent sets only while workers start."""
+
+    @pytest.fixture(autouse=True)
+    def no_user_setting(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    @staticmethod
+    def worker_envs(cores: int) -> list[dict]:
+        with create("processes", cores=cores) as ex:
+            return [f.result() for f in [ex.submit(thread_env) for _ in range(4 * cores)]]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_workers_get_their_cpu_share(self, cores):
+        share = str(max(1, usable_cpus() // cores))
+        assert self.worker_envs(cores) == [dict.fromkeys(THREAD_VARS, share)] * (4 * cores)
+
+    def test_parent_environment_is_unchanged(self):
+        before = dict(os.environ)
+        ex = create("processes", cores=2)
+        try:
+            assert dict(os.environ) == before
+        finally:
+            ex.shutdown()
+        assert dict(os.environ) == before
+
+    def test_user_setting_passes_through(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        expected = {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        assert self.worker_envs(2) == [expected] * 8

@@ -1,17 +1,16 @@
 """CI smoke: the processes backend delivers *measured* speedup.
 
 This is the one test in the repository that asserts wall-clock numbers,
-so it is deliberately forgiving: it skips cleanly on single-core hosts
-(the growth container has one core), uses a pure-Python GIL-bound kernel
-(BLAS already escapes the GIL, so numpy work would not demonstrate the
-point), and asserts only ``> 1.0`` with generous task sizes.  The CI
-workflow runs it on multi-core runners as the processes-backend smoke
-job.
+so it is deliberately forgiving: it skips cleanly when the process may
+use only one CPU (a one-core host, or ``taskset -c 0``), uses a
+pure-Python GIL-bound kernel (BLAS already escapes the GIL, so numpy
+work would not demonstrate the point), and asserts only ``> 1.0`` with
+generous task sizes.  The CI workflow runs it on multi-core runners as
+the processes-backend smoke job.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -19,10 +18,9 @@ import pytest
 
 from repro.apps.kernels.matmul import matmul_tasks
 from repro.executor import create
+from repro.executor.processes import usable_cpus
 
-multicore = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2, reason="needs >= 2 physical cores to measure speedup"
-)
+multicore = pytest.mark.skipif(usable_cpus() < 2, reason="needs >= 2 usable CPUs to measure speedup")
 
 
 def burn(n: int) -> int:
