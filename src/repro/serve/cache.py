@@ -5,9 +5,10 @@ Two implementations behind one ``begin/complete/fail`` protocol:
 * :class:`LRUTTLCache` — a real, thread-safe LRU with optional TTL and
   **single-flight** in-flight coalescing: the first request for a key
   becomes the *leader* and executes the body; concurrent requests for
-  the same key attach to the leader's future instead of re-running the
-  work, so a memoized body runs at most once per key (the hypothesis
-  property in ``tests/serve/test_cache.py`` pins this).  Used under the
+  the same key are told to ``wait``, and the gateway parks them until
+  the leader's ``complete``/``fail`` instead of re-running the work, so
+  a memoized body runs at most once per key (the hypothesis property in
+  ``tests/serve/test_cache.py`` pins this).  Used under the
   threads/processes backends where wall time is real.
 
 * :class:`ModeledCache` — the deterministic stand-in for simulated
@@ -27,8 +28,8 @@ The protocol
 status     meaning for the gateway
 =========  ==========================================================
 ``hit``    value available now; respond without executing
-``wait``   another request is computing this key; attach to
-           ``decision.leader`` (a :class:`~repro.executor.future.Future`)
+``wait``   another request is computing this key; the caller parks
+           the request until that leader's ``complete``/``fail``
 ``lead``   caller must execute the body, then ``complete``/``fail``;
            ``decision.charge=False`` means the execution is *not*
            charged service cost (ModeledCache warm-miss)
@@ -39,10 +40,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.executor.future import Future
 from repro.util.rng import stable_hash
 
 __all__ = ["CacheDecision", "CacheStats", "LRUTTLCache", "ModeledCache"]
@@ -84,7 +84,6 @@ class CacheStats:
 class CacheDecision:
     status: str  # "hit" | "wait" | "lead"
     value: Any = None
-    leader: Future | None = None
     #: False when the execution should not be charged service cost
     #: (ModeledCache treating a warm key's first access as a hit)
     charge: bool = True
@@ -93,7 +92,7 @@ class CacheDecision:
 class LRUTTLCache:
     """Thread-safe LRU with TTL and single-flight coalescing.
 
-    ``capacity`` bounds *stored* entries (in-flight leaders are tracked
+    ``capacity`` bounds *stored* entries (in-flight keys are tracked
     separately and do not count).  ``ttl=None`` disables expiry; expiry
     is checked lazily at lookup time against the ``now`` the caller
     passes, so the cache works identically on wall and virtual clocks.
@@ -109,7 +108,7 @@ class LRUTTLCache:
         self.stats = CacheStats()
         self._lock = threading.RLock()
         self._entries: OrderedDict[str, tuple[Any, float]] = OrderedDict()
-        self._inflight: dict[str, Future] = {}
+        self._inflight: set[str] = set()
 
     def begin(self, key: str, now: float) -> CacheDecision:
         """Look up ``key``: a fresh entry hits, an in-flight computation
@@ -125,35 +124,28 @@ class LRUTTLCache:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
                     return CacheDecision("hit", value=value)
-            leader = self._inflight.get(key)
-            if leader is not None:
+            if key in self._inflight:
                 self.stats.coalesced += 1
-                return CacheDecision("wait", leader=leader)
+                return CacheDecision("wait")
             self.stats.misses += 1
-            fut = Future(name=f"cache:{key}")
-            fut.try_start()
-            self._inflight[key] = fut
+            self._inflight.add(key)
             return CacheDecision("lead")
 
     def complete(self, key: str, value: Any, now: float) -> None:
-        """Store the leader's result and release any coalesced waiters."""
+        """Store the leader's result; the key is no longer in flight."""
         with self._lock:
             self._entries[key] = (value, now)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-            leader = self._inflight.pop(key, None)
-        if leader is not None:
-            leader.set_result(value)
+            self._inflight.discard(key)
 
     def fail(self, key: str, error: BaseException) -> None:
-        """Propagate the leader's failure to waiters; nothing is cached,
-        so the next request for the key leads a fresh attempt."""
+        """The leader failed with ``error``: nothing is cached, so the
+        next request for the key leads a fresh attempt."""
         with self._lock:
-            leader = self._inflight.pop(key, None)
-        if leader is not None:
-            leader.set_exception(error)
+            self._inflight.discard(key)
 
     # -- inspection (tests, reports) ---------------------------------------
 
@@ -219,7 +211,7 @@ class ModeledCache:
             self._store[key] = value
 
     def fail(self, key: str, error: BaseException) -> None:
-        """No waiters to release — the model never coalesces."""
+        """Nothing to drop — the model never coalesces."""
 
     def __len__(self) -> int:
         return len(self._store)

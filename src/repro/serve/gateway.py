@@ -4,18 +4,27 @@
 it admits (or sheds), consults the memoizing cache, micro-batches, and
 dispatches to the wrapped executor, resolving each request's
 :class:`~repro.serve.requests.Ticket` with a typed response.  The same
-client code runs identically over every backend; what changes is the
-*clock discipline*:
+client code runs identically over every backend.
 
-* **driven** mode (inline/sim, virtual time) — the gateway owns a
+Every request walks one state machine — admit → cache → batch →
+dispatch → resolve.  It has one dispatch step (``_dispatch_locked``),
+one place where a dispatched batch is resolved (``_complete_locked``,
+which also releases the followers coalesced on a batch's cache keys),
+and one follower map.  Only the *completion source* differs, and the
+executor picks it (``gateway.mode``):
+
+* **driven** (inline/sim, virtual time) — the gateway owns a
   :class:`~repro.util.stopwatch.ManualClock` and a service-time model
-  (``executor.cores`` servers, earliest-free assignment), so a seeded
-  arrival trace yields byte-identical latency/shed/hit numbers on every
-  run.  Work still *executes* eagerly at dispatch (real values come
-  back); only time is modeled.
-* **thread** mode (threads/processes, wall time) — a dispatcher thread
-  ages out open batches on the real clock and completions arrive via
-  future callbacks; latency is measured wall time.
+  (``executor.cores`` servers, earliest-free assignment).  Work still
+  *executes* eagerly at dispatch (real values come back); only time is
+  modeled: each batch's outcome goes onto a heap keyed by its virtual
+  finish time and is delivered when the clock gets there, like the
+  Occam ``Runner``'s ``ev_queue``.  A seeded arrival trace therefore
+  yields byte-identical latency/shed/hit numbers on every run.
+* **thread** (threads/processes, wall time) — a dispatcher thread ages
+  out open batches on the real clock, each dispatch goes to the
+  executor as one ``submit_many`` call, and completions arrive through
+  the futures' done-callbacks; latency is measured wall time.
 
 Overload can only shed, never block: ``submit`` returns a resolved
 ``Rejected`` ticket instead of queueing past the admission limits, and
@@ -59,7 +68,7 @@ from repro.serve.requests import (
     Uncacheable,
     canonical_key,
 )
-from repro.util.stopwatch import Clock, ManualClock, WallClock
+from repro.util.stopwatch import ManualClock, WallClock
 
 __all__ = ["Gateway", "GatewayStats"]
 
@@ -101,14 +110,20 @@ class _Request:
     rt: RequestTrace | None = None
 
 
+def _batch_name(survivors: list[_Request]) -> str:
+    return f"serve:{survivors[0].task}[{len(survivors)}]"
+
+
 class Gateway:
     """Serving front door over an :class:`~repro.executor.base.Executor`.
 
     The gateway *uses* the executor but does not own it: ``shutdown()``
     releases gateway resources only, and the caller remains responsible
-    for ``executor.shutdown()``.  ``mode="auto"`` picks driven for the
-    eager virtual-time backends (inline, sim) and thread otherwise;
-    custom eager backends should pass ``mode="driven"`` explicitly.
+    for ``executor.shutdown()``.  ``mode`` follows from the executor
+    type: the eager virtual-time backends (inline, sim) are driven,
+    every other backend is thread.  A cache belongs to one gateway:
+    requests coalesced on an in-flight key wait in the gateway that
+    admitted them.
     """
 
     def __init__(
@@ -119,34 +134,21 @@ class Gateway:
         batching: BatchPolicy | None = None,
         cache: LRUTTLCache | ModeledCache | None = None,
         retry: RetryPolicy | None = None,
-        mode: str = "auto",
-        clock: Clock | None = None,
-        dispatch_overhead: float = 0.0,
         trace: TraceRecorder | None = None,
         rtrace: RequestTraceCollector | None = None,
-        name: str = "serve",
     ) -> None:
-        if mode == "auto":
-            mode = (
-                "driven"
-                if isinstance(executor, (InlineExecutor, SimExecutor))
-                else "thread"
-            )
-        if mode not in ("driven", "thread"):
-            raise ValueError(f"mode must be 'driven', 'thread' or 'auto', got {mode!r}")
+        driven = isinstance(executor, (InlineExecutor, SimExecutor))
         self.executor = executor
-        self.mode = mode
-        self.clock: Clock = clock or (ManualClock() if mode == "driven" else WallClock())
+        self.mode = "driven" if driven else "thread"
+        self.clock = ManualClock() if driven else WallClock()
         self.cache = cache
         self.retry = retry or _DEFAULT_RETRY
-        self.dispatch_overhead = dispatch_overhead
         self.trace = resolve_recorder(trace)
         self.rtrace = rtrace
         # thread mode measures execution where it runs: batches go
         # through run_batch_timed and workers are told to emit
         # per-request shard spans (no-op on backends without pipes)
-        self._timed = rtrace is not None and mode == "thread"
-        self.name = name
+        self._timed = rtrace is not None and not driven
         self.stats = GatewayStats()
         self._admission = AdmissionController(admission, now=self.clock.now())
         self._batcher = MicroBatcher(batching)
@@ -155,23 +157,21 @@ class Gateway:
         self._next_id = 0
         self._depth = 0  # admitted-but-unresolved requests
         self._shut = False
-        # driven mode: per-core earliest-free times + pending completions;
-        # a completion payload is ("ok", value, batch_size) or
-        # ("err", exception, batch_size)
-        self._core_free = [self.clock.now()] * max(1, executor.cores)
-        heapq.heapify(self._core_free)
-        self._completions: list[tuple[float, int, _Request, tuple]] = []
-        self._seq = 0
-        # key -> coalesced followers waiting on an in-flight leader (driven)
+        # key -> coalesced followers waiting on an in-flight leader
         self._waiters: dict[str, list[_Request]] = {}
         # unresolved admitted requests (drain waits on these)
         self._live: dict[int, _Request] = {}
+        # driven source: per-core earliest-free times, and one
+        # (finish, seq, survivors, outcome, attempts) entry per batch
+        self._core_free = [self.clock.now()] * max(1, executor.cores)
+        self._completions: list[tuple[float, int, list[_Request], Any, int]] = []
+        self._seq = 0
         self._dispatcher: threading.Thread | None = None
         if self._timed:
             self.executor.signal("serve.rtrace", True)
-        if mode == "thread":
+        if not driven:
             self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name=f"{name}-dispatcher", daemon=True
+                target=self._dispatch_loop, name="serve-dispatcher", daemon=True
             )
             self._dispatcher.start()
 
@@ -245,7 +245,14 @@ class Gateway:
             elif rt is not None:
                 # no cacheable key: the lookup segment is zero-width
                 rt.mark("cache", now)
-            self._enqueue_locked(req, now)
+            self._depth += 1
+            self._live[ticket.request_id] = req
+            self.trace.set_gauge("serve.queue_depth", self._depth)
+            batch = self._batcher.add(req, now)
+            if batch is not None:
+                self._dispatch_locked([batch], now)
+            elif self.mode == "thread":
+                self._wake.notify_all()
         return ticket
 
     def result(self, ticket: Ticket, timeout: float | None = None) -> Response:
@@ -264,9 +271,8 @@ class Gateway:
         """Driven mode: advance to ``now`` (default: current clock),
         dispatching due batches and delivering due completions."""
         with self._lock:
-            clk = self.clock
-            if now is not None and isinstance(clk, ManualClock) and now > clk.now():
-                clk.advance_to(now)
+            if now is not None and self.mode == "driven" and now > self.clock.now():
+                self.clock.advance_to(now)
             self._advance_locked(self.clock.now())
 
     def drain(self) -> float:
@@ -276,25 +282,19 @@ class Gateway:
         and returns it; thread mode blocks until live requests resolve
         and returns the wall clock.  The gateway stays open.
         """
-        if self.mode == "driven":
-            with self._lock:
-                now = self.clock.now()
+        with self._wake:
+            now = self.clock.now()
+            if self.mode == "driven":
                 self._advance_locked(now)
-                for batch in sorted(self._batcher.flush(), key=lambda b: b.opened_at):
-                    self._dispatch_driven_locked(batch, now)
-                end = max(
-                    (finish for finish, _, _, _ in self._completions), default=now
-                )
-                clk = self.clock
-                if isinstance(clk, ManualClock) and end > now:
-                    clk.advance_to(end)
+            flushed = sorted(self._batcher.flush(), key=lambda b: b.opened_at)
+            self._dispatch_locked(flushed, now)
+            if self.mode == "driven":
+                end = max((entry[0] for entry in self._completions), default=now)
+                if end > now:
+                    self.clock.advance_to(end)
                 self._advance_locked(end)
                 return end
-        with self._wake:
-            batches = self._batcher.flush()
             self._wake.notify_all()
-        for batch in batches:
-            self._dispatch_thread(batch)
         while True:
             with self._lock:
                 live = list(self._live.values())
@@ -308,9 +308,9 @@ class Gateway:
 
         ``drain=True`` flushes and delivers queued work first.
         ``drain=False`` resolves every queued-but-undispatched request
-        (and any coalesced follower of one) with ``Rejected("shutdown")``
-        so no client waits forever — batches already handed to the
-        executor still complete via their callbacks.
+        with ``Rejected("shutdown")`` and its coalesced followers with
+        ``Failed(ExecutorShutdown)``, so no client waits forever —
+        batches already handed to the executor still complete.
         """
         with self._lock:
             if self._shut:
@@ -318,24 +318,16 @@ class Gateway:
             self._shut = True
             if not drain:
                 now = self.clock.now()
+                detail = "gateway shut down before dispatch"
                 for batch in self._batcher.flush():
                     for req in batch.requests:
-                        self._abort_keyed_locked(
-                            req,
-                            ExecutorShutdown("gateway shut down before dispatch"),
-                            now,
-                        )
+                        self._release_locked(req, False, ExecutorShutdown(detail), now)
                         if req.rt is not None:
                             req.rt.mark("resolve", now)
-                        self._resolve_locked(
-                            req,
-                            Rejected("shutdown", "gateway shut down before dispatch"),
-                        )
+                        self._resolve_locked(req, Rejected("shutdown", detail))
                 # driven mode: completed-but-undelivered work is real
-                # results — deliver it rather than discarding
-                while self._completions:
-                    finish, _, req, payload = heapq.heappop(self._completions)
-                    self._finalize_driven_locked(req, payload, finish)
+                # results — deliver the whole heap rather than discarding
+                self._advance_locked(float("inf"))
             self._wake.notify_all()
         if drain:
             self.drain()
@@ -348,7 +340,7 @@ class Gateway:
         with self._lock:
             return self._depth
 
-    # -------------------------------------------------------- shared internals
+    # ------------------------------------------------------- state machine
 
     def _shed(self, ticket: Ticket, reason: str, detail: str, now: float) -> Ticket:
         self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
@@ -384,21 +376,27 @@ class Gateway:
             )
             self.trace.count("serve.shed")
 
-    def _abort_keyed_locked(
-        self, req: _Request, error: BaseException, now: float
-    ) -> None:
-        """A queued cache *leader* is not going to run: fail the key so
-        thread-mode followers unblock, and fail driven-mode waiters."""
+    def _release_locked(self, req: _Request, ok: bool, value: Any, at: float) -> None:
+        """Settle ``req``'s cache key — store ``value`` if ``ok``, else
+        drop the in-flight entry so the next request leads — and resolve
+        the followers coalesced on it with the same outcome."""
         if req.key is None or self.cache is None:
             return
-        self.cache.fail(req.key, error)
-        for waiter in self._waiters.pop(req.key, []):
+        if ok:
+            self.cache.complete(req.key, value, at)
+        else:
+            self.cache.fail(req.key, value)
+        for waiter in self._waiters.pop(req.key, ()):
             if waiter.rt is not None:
                 # the whole coalesced wait was spent on the cache leader
-                waiter.rt.mark("cache", now)
-                waiter.rt.mark("resolve", now)
+                waiter.rt.mark("cache", at)
+                waiter.rt.mark("resolve", at)
+            latency = at - waiter.arrival
             self._resolve_locked(
-                waiter, Failed(error, latency=now - waiter.arrival)
+                waiter,
+                Completed(value, latency=latency, cached=True)
+                if ok
+                else Failed(value, latency=latency),
             )
 
     def _try_cache_locked(self, req: _Request, now: float) -> bool:
@@ -418,17 +416,11 @@ class Gateway:
             self._rt_finish(req, response)
             return True
         if decision.status == "wait":
+            # the leader's completion releases it (_release_locked)
             self.trace.count("serve.cache_coalesced")
             self._depth += 1
             self._live[req.ticket.request_id] = req
-            if self.mode == "driven":
-                self._waiters.setdefault(req.key, []).append(req)
-            else:
-                leader = decision.leader
-                assert leader is not None
-                leader.add_done_callback(
-                    lambda fut, r=req: self._on_leader_done(r, fut)
-                )
+            self._waiters.setdefault(req.key, []).append(req)
             return True
         # status == "lead"
         if not decision.charge:
@@ -446,13 +438,11 @@ class Gateway:
                 self.stats.failed += 1
                 self.trace.count("serve.failures")
                 response: Response = Failed(exc, latency=now - req.arrival)
-                req.ticket._resolve(response)
-                self._rt_finish(req, response)
-                return True
-            self.cache.complete(req.key, value, now)
-            self.stats.completed += 1
-            self.trace.observe("serve.latency_seconds", 0.0)
-            response = Completed(value, latency=0.0, cached=True)
+            else:
+                self.cache.complete(req.key, value, now)
+                self.stats.completed += 1
+                self.trace.observe("serve.latency_seconds", 0.0)
+                response = Completed(value, latency=0.0, cached=True)
             req.ticket._resolve(response)
             self._rt_finish(req, response)
             return True
@@ -462,50 +452,76 @@ class Gateway:
             req.rt.mark("cache", now)
         return False
 
-    def _enqueue_locked(self, req: _Request, now: float) -> None:
-        self._depth += 1
-        self._live[req.ticket.request_id] = req
-        self.trace.set_gauge("serve.queue_depth", self._depth)
-        batch = self._batcher.add(req, now)
-        if batch is not None:
-            if self.mode == "driven":
-                self._dispatch_driven_locked(batch, now)
-            else:
-                self._dispatch_thread(batch)
-        elif self.mode == "thread":
-            self._wake.notify_all()
+    def _dispatch_locked(self, batches: list[Batch], now: float) -> None:
+        """The one dispatch step, at ``now`` on the gateway clock.
 
-    def _presend_locked(self, batch: Batch, now: float) -> list[_Request]:
-        """Apply per-request cancellation/deadline at dispatch time."""
-        survivors: list[_Request] = []
-        for req in batch.requests:
-            if req.cancel is not None and req.cancel.cancelled:
-                self._abort_keyed_locked(
-                    req, RuntimeError("coalesced leader cancelled before dispatch"), now
-                )
+        Cancelled requests and requests past their start-by deadline are
+        rejected (a rejected cache leader fails its followers).  Each
+        batch's survivors are counted, stamped ``batch`` and handed to
+        the mode's sender.
+        """
+        ready: list[list[_Request]] = []
+        for batch in batches:
+            survivors: list[_Request] = []
+            for req in batch.requests:
+                if req.cancel is not None and req.cancel.cancelled:
+                    response = Rejected(
+                        "cancelled", f"token {req.cancel.name!r} cancelled"
+                    )
+                    error = RuntimeError("coalesced leader cancelled before dispatch")
+                elif req.deadline is not None and now - req.arrival > req.deadline:
+                    response = Rejected(
+                        "deadline", f"not dispatched within {req.deadline}s of arrival"
+                    )
+                    error = RuntimeError("coalesced leader missed its deadline")
+                else:
+                    survivors.append(req)
+                    continue
+                self._release_locked(req, False, error, now)
                 if req.rt is not None:
                     req.rt.mark("batch", now)
                     req.rt.mark("resolve", now)
-                self._resolve_locked(
-                    req, Rejected("cancelled", f"token {req.cancel.name!r} cancelled")
-                )
-            elif req.deadline is not None and now - req.arrival > req.deadline:
-                self._abort_keyed_locked(
-                    req, RuntimeError("coalesced leader missed its deadline"), now
-                )
+                self._resolve_locked(req, response)
+            if not survivors:
+                continue
+            self.stats.batches += 1
+            self.trace.count("serve.batches")
+            self.trace.observe("serve.batch_occupancy", len(survivors))
+            for req in survivors:
                 if req.rt is not None:
                     req.rt.mark("batch", now)
-                    req.rt.mark("resolve", now)
-                self._resolve_locked(
-                    req,
-                    Rejected(
-                        "deadline",
-                        f"not dispatched within {req.deadline}s of arrival",
-                    ),
-                )
+            if self.mode == "driven":
+                self._send_driven(survivors, now)
             else:
-                survivors.append(req)
-        return survivors
+                ready.append(survivors)
+        if ready:
+            self._send_thread(ready, 1)
+
+    def _complete_locked(
+        self, survivors: list[_Request], outcome: Any, at: float, attempts: int
+    ) -> None:
+        """The one place a dispatched batch is resolved, at ``at``.
+
+        ``outcome`` is ``run_batch``'s ``(status, value)`` pair per
+        request, or the exception that failed the whole batch.  Each
+        request settles its cache key (releasing its coalesced
+        followers) before its own ticket resolves.
+        """
+        if isinstance(outcome, BaseException):
+            outcome = [("err", outcome)] * len(survivors)
+        size = len(survivors)
+        for req, (status, value) in zip(survivors, outcome):
+            ok = status == "ok"
+            self._release_locked(req, ok, value, at)
+            if req.rt is not None:
+                req.rt.mark("resolve", at)
+            latency = at - req.arrival
+            self._resolve_locked(
+                req,
+                Completed(value, latency=latency, batch_size=size, attempts=attempts)
+                if ok
+                else Failed(value, latency=latency, attempts=attempts),
+            )
 
     def _emit_retry(self, name: str, attempt: int, exc: BaseException) -> None:
         self.stats.retries += 1
@@ -515,106 +531,61 @@ class Gateway:
                 "retry", name, attempt=attempt, delay=0.0, exception=type(exc).__name__
             )
 
-    # -------------------------------------------------------- driven mode
+    # ------------------------------------------------- driven source (heap)
 
     def _advance_locked(self, now: float) -> None:
-        due = self._batcher.due(now)
-        for batch in sorted(due, key=lambda b: b.opened_at):
+        """Dispatch the batches that aged out by ``now``, then deliver
+        every completion on the heap that is due."""
+        for batch in sorted(self._batcher.due(now), key=lambda b: b.opened_at):
             # dispatch at the instant the batch aged out, not at "now":
             # the latency model should not depend on how often we pump
-            self._dispatch_driven_locked(
-                batch, batch.opened_at + self._batcher.policy.max_delay
+            self._dispatch_locked(
+                [batch], batch.opened_at + self._batcher.policy.max_delay
             )
         while self._completions and self._completions[0][0] <= now:
-            finish, _, req, payload = heapq.heappop(self._completions)
-            self._finalize_driven_locked(req, payload, finish)
+            finish, _, survivors, outcome, attempts = heapq.heappop(self._completions)
+            self._complete_locked(survivors, outcome, finish, attempts)
 
-    def _dispatch_driven_locked(self, batch: Batch, t: float) -> None:
-        survivors = self._presend_locked(batch, t)
-        if not survivors:
-            return
-        self.stats.batches += 1
-        self.trace.count("serve.batches")
-        self.trace.observe("serve.batch_occupancy", len(survivors))
+    def _send_driven(self, survivors: list[_Request], t: float) -> None:
+        """Run the batch now on the eager executor, with immediate
+        retries, book it on the earliest-free core and push its outcome
+        onto the completion heap at the virtual finish time."""
+        name = _batch_name(survivors)
+        cost = sum(r.cost for r in survivors)
         calls = [(r.fn, r.args, r.kwargs) for r in survivors]
-        name = f"{self.name}:{batch.kind}[{len(survivors)}]"
-        cost = self.dispatch_overhead + sum(r.cost for r in survivors)
-        outcome, attempts = self._execute_driven(calls, cost, name)
-        free = heapq.heappop(self._core_free)
-        start = max(t, free)
-        finish = start + cost
-        heapq.heappush(self._core_free, finish)
-        size = len(survivors)
-        if self.rtrace is not None:
-            # the whole virtual timeline of this batch is known here —
-            # stage the marks now, delivery happens at `finish`
-            for req in survivors:
-                if req.rt is None:
-                    continue
-                req.rt.mark("batch", t)
-                req.rt.mark("queue", start)
-                req.rt.mark("execute", finish)
-                if attempts > 1:
-                    req.rt.mark("retry", finish)
-                req.rt.mark("resolve", finish)
-        if isinstance(outcome, BaseException):
-            for req in survivors:
-                self._schedule_completion(req, ("err", outcome, size, attempts), finish)
-        else:
-            for req, (status, payload) in zip(survivors, outcome):
-                self._schedule_completion(
-                    req, (status, payload, size, attempts), finish
-                )
-
-    def _schedule_completion(self, req: _Request, payload: tuple, finish: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._completions, (finish, self._seq, req, payload))
-
-    def _finalize_driven_locked(
-        self, req: _Request, payload: tuple, finish: float
-    ) -> None:
-        status, value, size, attempts = payload
-        latency = finish - req.arrival
-        if status == "err":
-            self._abort_keyed_locked(req, value, finish)
-            self._resolve_locked(req, Failed(value, latency=latency, attempts=attempts))
-            return
-        if req.key is not None and self.cache is not None:
-            self.cache.complete(req.key, value, finish)
-            for waiter in self._waiters.pop(req.key, []):
-                if waiter.rt is not None:
-                    # the coalesced wait on the leader is cache time
-                    waiter.rt.mark("cache", finish)
-                    waiter.rt.mark("resolve", finish)
-                self._resolve_locked(
-                    waiter,
-                    Completed(value, latency=finish - waiter.arrival, cached=True),
-                )
-        self._resolve_locked(
-            req, Completed(value, latency=latency, batch_size=size, attempts=attempts)
-        )
-
-    def _execute_driven(self, calls: list, cost: float, name: str) -> tuple[Any, int]:
-        """Run one batch on the eager executor with immediate retries.
-
-        Returns ``(outcome, attempts)`` where the outcome is the
-        ``run_batch`` result list, or the final exception if the whole
-        batch kept failing (e.g. injected worker faults)."""
-        attempt = 1
+        attempts = 1
         while True:
             try:
                 future = self.executor.submit(run_batch, calls, cost=cost, name=name)
-                exc = future.exception()
-            except ExecutorShutdown as shutdown_exc:
-                return shutdown_exc, attempt
-            if exc is None:
-                return future.result(), attempt
-            if not self.retry.should_retry(exc, attempt):
-                return exc, attempt
-            self._emit_retry(name, attempt, exc)
-            attempt += 1
+            except ExecutorShutdown as exc:
+                outcome: Any = exc
+                break
+            outcome = future.exception()
+            if outcome is None:
+                outcome = future.result()
+                break
+            if not self.retry.should_retry(outcome, attempts):
+                break
+            self._emit_retry(name, attempts, outcome)
+            attempts += 1
+        start = max(t, heapq.heappop(self._core_free))
+        finish = start + cost
+        heapq.heappush(self._core_free, finish)
+        if self.rtrace is not None:
+            # the whole virtual timeline of this batch is known here;
+            # the resolve mark lands when the heap delivers it
+            for req in survivors:
+                if req.rt is not None:
+                    req.rt.mark("queue", start)
+                    req.rt.mark("execute", finish)
+                    if attempts > 1:
+                        req.rt.mark("retry", finish)
+        self._seq += 1
+        heapq.heappush(
+            self._completions, (finish, self._seq, survivors, outcome, attempts)
+        )
 
-    # -------------------------------------------------------- thread mode
+    # ---------------------------------------- thread source (done-callbacks)
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -629,139 +600,60 @@ class Gateway:
                     self._wake.wait(timeout=deadline - now)
                 if self._shut:
                     return
-                due = self._batcher.due(self.clock.now())
-                if len(due) > 1:
-                    self._dispatch_thread_many(due)
-                else:
-                    for batch in due:
-                        self._dispatch_thread(batch)
+                now = self.clock.now()
+                self._dispatch_locked(self._batcher.due(now), now)
 
-    def _dispatch_thread(self, batch: Batch) -> None:
-        with self._lock:
-            now = self.clock.now()
-            survivors = self._presend_locked(batch, now)
-            if not survivors:
-                return
-            self.stats.batches += 1
-            self.trace.count("serve.batches")
-            self.trace.observe("serve.batch_occupancy", len(survivors))
-            for req in survivors:
-                if req.rt is not None:
-                    req.rt.mark("batch", now)
-        calls = [(r.fn, r.args, r.kwargs) for r in survivors]
-        name = f"{self.name}:{batch.kind}[{len(survivors)}]"
-        self._submit_thread(calls, survivors, name, attempt=1)
-
-    def _dispatch_thread_many(self, batches: list[Batch]) -> None:
-        """Dispatch several due batches through the executor's
-        ``submit_many`` fast path (one pool lock round, one wake-up)."""
-        prepared: list[tuple[list, list[_Request], str]] = []
-        with self._lock:
-            now = self.clock.now()
-            for batch in batches:
-                survivors = self._presend_locked(batch, now)
-                if not survivors:
-                    continue
-                self.stats.batches += 1
-                self.trace.count("serve.batches")
-                self.trace.observe("serve.batch_occupancy", len(survivors))
-                for req in survivors:
-                    if req.rt is not None:
-                        req.rt.mark("batch", now)
-                prepared.append(
-                    (
-                        [(r.fn, r.args, r.kwargs) for r in survivors],
-                        survivors,
-                        f"{self.name}:{batch.kind}[{len(survivors)}]",
-                    )
-                )
-        if not prepared:
-            return
+    def _send_thread(self, batches: list[list[_Request]], attempt: int) -> None:
+        """Hand every batch of one dispatch to the executor in a single
+        ``submit_many``; each resolves from its future's done-callback."""
+        calls = [[(r.fn, r.args, r.kwargs) for r in reqs] for reqs in batches]
+        if self._timed:
+            fn: Callable[..., Any] = run_batch_timed
+            arg_tuples: list[tuple] = [
+                (c, [r.ticket.request_id for r in reqs])
+                for c, reqs in zip(calls, batches)
+            ]
+        else:
+            fn = run_batch
+            arg_tuples = [(c,) for c in calls]
         try:
-            if self._timed:
-                futures = self.executor.submit_many(
-                    run_batch_timed,
-                    [
-                        (calls, [r.ticket.request_id for r in survivors])
-                        for calls, survivors, _ in prepared
-                    ],
-                    name=self.name,
-                )
-            else:
-                futures = self.executor.submit_many(
-                    run_batch, [(calls,) for calls, _, _ in prepared], name=self.name
-                )
+            futures = self.executor.submit_many(fn, arg_tuples, name="serve")
         except ExecutorShutdown as exc:
-            fail_now = self.clock.now()
-            with self._lock:
-                for _, survivors, _ in prepared:
-                    for req in survivors:
-                        self._abort_keyed_locked(req, exc, fail_now)
-                        if req.rt is not None:
-                            req.rt.mark("queue", fail_now)
-                            req.rt.mark("resolve", fail_now)
-                        self._resolve_locked(
-                            req, Failed(exc, latency=fail_now - req.arrival)
-                        )
+            for reqs in batches:
+                self._fail_batch_locked(reqs, exc, attempt)
             return
-        for future, (calls, survivors, name) in zip(futures, prepared):
+        for future, reqs in zip(futures, batches):
             future.add_done_callback(
-                lambda fut, c=calls, s=survivors, n=name: self._on_batch_done(
-                    fut, c, s, n, 1
-                )
+                lambda fut, reqs=reqs: self._on_batch_done(fut, reqs, attempt)
             )
 
-    def _submit_thread(
-        self, calls: list, survivors: list[_Request], name: str, attempt: int
+    def _fail_batch_locked(
+        self, survivors: list[_Request], error: BaseException, attempt: int
     ) -> None:
-        try:
-            if self._timed:
-                rids = [r.ticket.request_id for r in survivors]
-                future = self.executor.submit(run_batch_timed, calls, rids, name=name)
-            else:
-                future = self.executor.submit(run_batch, calls, name=name)
-        except ExecutorShutdown as exc:
-            fail_now = self.clock.now()
-            with self._lock:
-                for req in survivors:
-                    self._abort_keyed_locked(req, exc, fail_now)
-                    if req.rt is not None:
-                        req.rt.mark("queue", fail_now)
-                        req.rt.mark("resolve", fail_now)
-                    self._resolve_locked(
-                        req, Failed(exc, latency=fail_now - req.arrival)
-                    )
-            return
-        future.add_done_callback(
-            lambda fut: self._on_batch_done(fut, calls, survivors, name, attempt)
-        )
+        """The batch failed for good after ``attempt`` attempts: the wait
+        since dispatch is queue (or retry) time."""
+        now = self.clock.now()
+        for req in survivors:
+            if req.rt is not None:
+                req.rt.mark("retry" if attempt > 1 else "queue", now)
+        self._complete_locked(survivors, error, now, attempt)
 
     def _on_batch_done(
-        self,
-        future: Future,
-        calls: list,
-        survivors: list[_Request],
-        name: str,
-        attempt: int,
+        self, future: Future, survivors: list[_Request], attempt: int
     ) -> None:
+        """A batch's future resolved, on whichever thread resolved it: a
+        failure is retried or fails the batch; results get their
+        execution span attributed, then ``_complete_locked``."""
         exc = future.exception()
         if exc is not None:
-            if not isinstance(exc, ExecutorShutdown) and self.retry.should_retry(
-                exc, attempt
-            ):
-                self._emit_retry(name, attempt, exc)
-                self._submit_thread(calls, survivors, name, attempt + 1)
-                return
-            now = self.clock.now()
             with self._lock:
-                for req in survivors:
-                    self._abort_keyed_locked(req, exc, now)
-                    if req.rt is not None:
-                        req.rt.mark("retry" if attempt > 1 else "queue", now)
-                        req.rt.mark("resolve", now)
-                    self._resolve_locked(
-                        req, Failed(exc, latency=now - req.arrival, attempts=attempt)
-                    )
+                if not isinstance(exc, ExecutorShutdown) and self.retry.should_retry(
+                    exc, attempt
+                ):
+                    self._emit_retry(_batch_name(survivors), attempt, exc)
+                    self._send_thread([survivors], attempt + 1)
+                else:
+                    self._fail_batch_locked(survivors, exc, attempt)
             return
         raw = future.result()
         if self._timed:
@@ -769,7 +661,6 @@ class Gateway:
         else:
             results, info = raw, None
         now = self.clock.now()
-        size = len(survivors)
         # Execution-span attribution: threads/inline stamp the span on
         # the future's meta (same time.monotonic() epoch as WallClock);
         # process workers can't, so reconstruct from the measured batch
@@ -800,47 +691,11 @@ class Gateway:
                         pid=os.getpid(),
                     )
         with self._lock:
-            for i, (req, (status, payload)) in enumerate(zip(survivors, results)):
-                if req.rt is not None:
-                    if base is not None:
+            if base is not None:
+                for i, req in enumerate(survivors):
+                    if req.rt is not None:
                         req.rt.mark("retry" if attempt > 1 else "queue", base + cum[i])
-                        req.rt.mark("execute", base + cum[i] + info["durs"][i])
+                        req.rt.mark("execute", base + cum[i] + durs[i])
                         req.rt.worker = wid
                         req.rt.pid = pid
-                    req.rt.mark("resolve", now)
-                if status == "ok":
-                    if req.key is not None and self.cache is not None:
-                        self.cache.complete(req.key, payload, now)
-                    self._resolve_locked(
-                        req,
-                        Completed(
-                            payload,
-                            latency=now - req.arrival,
-                            batch_size=size,
-                            attempts=attempt,
-                        ),
-                    )
-                else:
-                    if req.key is not None and self.cache is not None:
-                        self.cache.fail(req.key, payload)
-                    self._resolve_locked(
-                        req,
-                        Failed(payload, latency=now - req.arrival, attempts=attempt),
-                    )
-
-    def _on_leader_done(self, req: _Request, leader: Future) -> None:
-        """Thread mode: a coalesced follower's leader resolved."""
-        now = self.clock.now()
-        exc = leader.exception()
-        with self._lock:
-            if req.rt is not None:
-                # the follower spent its whole life waiting on the leader
-                req.rt.mark("cache", now)
-                req.rt.mark("resolve", now)
-            if exc is not None:
-                self._resolve_locked(req, Failed(exc, latency=now - req.arrival))
-            else:
-                self._resolve_locked(
-                    req,
-                    Completed(leader.result(), latency=now - req.arrival, cached=True),
-                )
+            self._complete_locked(survivors, results, now, attempt)

@@ -10,8 +10,10 @@ import threading
 
 import pytest
 
+from repro.executor.base import ExecutorShutdown
 from repro.executor.factory import create
 from repro.obs import TraceRecorder
+from repro.obs.rtrace import RequestTraceCollector
 from repro.resilience import CancelToken, FaultPlan, InjectedFault, RetryPolicy
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.batching import BatchPolicy
@@ -23,6 +25,25 @@ from repro.serve.requests import Completed, Failed, Rejected
 
 def small_batches() -> BatchPolicy:
     return BatchPolicy(max_size=4, max_delay=0.001)
+
+
+class Memo:
+    """A memoizable body that counts its runs; with ``fail_first`` its
+    first run raises ``self.error``."""
+
+    def __init__(self, fail_first: bool = False) -> None:
+        self.runs = 0
+        self.fail_first = fail_first
+        self.error = ValueError("boom")
+        self._lock = threading.Lock()
+
+    def __call__(self, k: int) -> int:
+        with self._lock:
+            self.runs += 1
+            first = self.runs == 1
+        if first and self.fail_first:
+            raise self.error
+        return k * 11
 
 
 class TestSameSemanticsEveryBackend:
@@ -260,6 +281,102 @@ class TestFaultsAndRetries:
             resp = gateway.result(ticket)
             gateway.shutdown()
         assert isinstance(resp, Failed) and isinstance(resp.error, InjectedFault)
+
+    def test_retry_that_hits_shutdown_keeps_its_attempt_count(self, monkeypatch):
+        """The first attempt fails, its retry cannot be submitted: the
+        response reports both attempts and a retry stage, as the driven
+        source does."""
+        plan = FaultPlan(seed=0, task_failure_rate=1.0)
+        collector = RequestTraceCollector()
+        with create("threads", cores=2, faults=plan) as executor:
+            sends: list[str] = []
+            for attr in ("submit", "submit_many"):
+
+                def second_send_raises(*args, _attr=attr, _real=getattr(executor, attr), **kwargs):
+                    sends.append(_attr)
+                    if len(sends) > 1:
+                        raise ExecutorShutdown("pool shut down under the retry")
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(executor, attr, second_send_raises)
+            gateway = Gateway(
+                executor,
+                batching=BatchPolicy(max_size=1, max_delay=0.0),
+                retry=RetryPolicy(
+                    max_attempts=3, base_delay=0.0, max_delay=0.0, jitter=0.0,
+                    retry_on=(InjectedFault,),
+                ),
+                rtrace=collector,
+            )
+            resp = gateway.submit(panel_body, 1, key=None).response(timeout=10.0)
+            gateway.shutdown()
+        assert len(sends) == 2
+        assert isinstance(resp, Failed) and isinstance(resp.error, ExecutorShutdown)
+        assert resp.attempts == 2
+        (rt,) = collector.summary().exemplars
+        assert [stage for stage, _ in rt.marks] == [
+            "admit", "cache", "batch", "retry", "resolve",
+        ]
+
+
+@pytest.mark.parametrize("backend", ["sim", "threads"])
+class TestSingleFlightThroughGateway:
+    """Followers coalesced on an in-flight key wait in the gateway under
+    both completion sources and share their leader's outcome."""
+
+    @staticmethod
+    def gateway(executor) -> Gateway:
+        # the long max_delay keeps the leader queued until drain or
+        # shutdown, so both followers arrive while its key is in flight
+        return Gateway(
+            executor,
+            cache=LRUTTLCache(capacity=8),
+            batching=BatchPolicy(max_size=8, max_delay=10.0),
+        )
+
+    def test_followers_share_the_leaders_single_run(self, backend):
+        memo = Memo()
+        with create(backend) as executor:
+            gateway = self.gateway(executor)
+            tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
+            gateway.drain()
+            leader, *followers = [t.response(timeout=10.0) for t in tickets]
+            gateway.shutdown()
+        assert memo.runs == 1
+        assert isinstance(leader, Completed) and not leader.cached
+        assert leader.value == 77
+        assert all(
+            isinstance(r, Completed) and r.cached and r.value == 77 for r in followers
+        )
+
+    def test_leader_failure_fails_followers_and_next_request_leads(self, backend):
+        memo = Memo(fail_first=True)
+        with create(backend) as executor:
+            gateway = self.gateway(executor)
+            tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
+            gateway.drain()
+            responses = [t.response(timeout=10.0) for t in tickets]
+            again = gateway.submit(memo, 7, task="memo")
+            gateway.drain()
+            retried = again.response(timeout=10.0)
+            gateway.shutdown()
+        assert all(isinstance(r, Failed) and r.error is memo.error for r in responses)
+        assert isinstance(retried, Completed) and not retried.cached
+        assert retried.value == 77 and memo.runs == 2
+
+    def test_shutdown_rejects_queued_leader_and_fails_followers(self, backend):
+        memo = Memo()
+        with create(backend) as executor:
+            gateway = self.gateway(executor)
+            tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
+            gateway.shutdown(drain=False)
+            leader, *followers = [t.response(timeout=5.0) for t in tickets]
+        assert isinstance(leader, Rejected) and leader.reason == "shutdown"
+        assert all(
+            isinstance(r, Failed) and isinstance(r.error, ExecutorShutdown)
+            for r in followers
+        )
+        assert memo.runs == 0
 
 
 class TestThreadModeConcurrency:
