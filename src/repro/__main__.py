@@ -7,7 +7,7 @@ Usage::
     python -m repro run all -o reports/      # run everything, save reports
     python -m repro trace proj2              # run under tracing, write Chrome JSON
     python -m repro analyze abl_sched        # work/span analytics + HTML report
-    python -m repro compare abl_sched        # gate a run against its stored baseline
+    python -m repro compare abl_sched        # gate a run against its pinned baseline
     python -m repro chaos proj10             # run one experiment under injected faults
     python -m repro top proj2                # live TTY dashboard while it runs
     python -m repro flame proj6 --repeat 200 # sampling profiler + flamegraph
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -94,21 +95,35 @@ def _require_experiment(exp_id: str):
 
 
 def _record_run(args: argparse.Namespace, record: Any, virtual: bool = False, at: float = 0.0) -> None:
-    """Best-effort append of one run record to the run-history store.
+    """Append one run record to the run-history store.
 
-    Commands never fail because history could not be written — a broken
-    store is a stderr warning, not an exit code.  ``virtual=True`` stamps
-    the record from an injected clock (timestamp ``at``, revision
-    ``sim``) so deterministic golden runs dedup to a byte-identical
-    store on re-ingest; real-backend runs get the wall clock and the git
-    revision.  ``--no-record`` skips entirely, ``--store`` redirects.
+    With ``--update-baseline`` the record is tagged ``pinned`` and
+    becomes the experiment's baseline.  A pin ignores ``--no-record``
+    and a failed write raises, since a missing pin would leave the gate
+    reading an older one.  It carries the wall clock and git revision
+    even on sim: a sim stamp is the run's virtual length, so a shorter
+    re-pin would sort before an older, longer one.
+
+    Any other record is best-effort: commands never fail because history
+    could not be written — a broken store is a stderr warning, not an
+    exit code.  ``virtual=True`` stamps the record from an injected
+    clock (timestamp ``at``, revision ``sim``) so deterministic golden
+    runs dedup to a byte-identical store on re-ingest; real-backend runs
+    get the wall clock and the git revision.  ``--no-record`` skips
+    entirely, ``--store`` redirects.
     """
+    from repro.obs.store import PINNED, RunStore, use_clock
+
+    if getattr(args, "update_baseline", False):
+        store = RunStore(args.store)
+        rec = store.add(replace(record, tags=record.tags + (PINNED,)))
+        print(f"baseline pinned -> {store.root} ({rec.exp_id}, {rec.kind})", file=sys.stderr)
+        return
     if getattr(args, "no_record", False):
         return
     from contextlib import nullcontext
 
     try:
-        from repro.obs.store import RunStore, use_clock
         from repro.util.stopwatch import ManualClock
 
         store = RunStore(getattr(args, "store", None))
@@ -153,6 +168,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pinned_baseline(args: argparse.Namespace, exp_id: str, pin_command: str):
+    """The latest pin for ``exp_id`` in the run-history store, or
+    ``None`` after printing how to make one (callers exit 2)."""
+    from repro.obs.store import PINNED, RunStore
+
+    store = RunStore(args.store)
+    pin = store.baseline(exp_id)
+    if pin is None:
+        pinned = sorted({rec.exp_id for rec in store.query(tag=PINNED)})
+        print(
+            f"no baseline for {exp_id!r} in {store.root} (pinned: {pinned}); "
+            f"run 'python -m repro {pin_command} --update-baseline' first",
+            file=sys.stderr,
+        )
+    return pin
+
+
+def _gate_record(record: Any, comparison: Any) -> Any:
+    """Fold a baseline comparison (if one ran) into the run's record:
+    the gate verdict, per-metric deltas and ``regressed:<metric>`` tags."""
+    if comparison is None:
+        return record
+    return replace(
+        record,
+        verdicts={**record.verdicts, "baseline": "pass" if comparison.ok else "regression"},
+        deltas={d.name: d.rel_change for d in comparison.deltas if d.rel_change is not None},
+        tags=record.tags + tuple(f"regressed:{d.name}" for d in comparison.regressions),
+    )
+
+
 def _run_traced(exp, max_events: int | None = None):
     """Run one (already looked-up) experiment under an ambient recorder;
     returns ``(recorder, result)``."""
@@ -170,10 +215,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     The terminal output is the experiment's own report followed by the
     work/span + scheduler-health summary; the self-contained HTML report
     (SVG Gantt, utilization bars) lands in ``-o`` (default
-    ``benchmarks/reports/``).  ``--update-baseline`` persists the
-    analyzed metrics for later ``compare`` runs.
+    ``benchmarks/reports/``).
     """
-    from repro.obs import render_html, update_baseline
+    from repro.obs import render_html
 
     exp = _require_experiment(args.experiment)
     if exp is None:
@@ -196,9 +240,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     html_path = out_dir / f"analysis_{args.experiment}.html"
     html_path.write_text(render_html(analysis, title=f"{args.experiment} — trace analysis"))
     print(f"HTML report -> {html_path}", file=sys.stderr)
-    if args.update_baseline:
-        path = update_baseline(args.experiment, analysis.baseline_metrics(), args.baseline)
-        print(f"baseline updated -> {path}", file=sys.stderr)
     from repro.obs.store import RunRecord
 
     _record_run(
@@ -216,30 +257,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """Re-run one experiment and gate it against its stored baseline.
+    """Re-run one experiment and gate it against its pinned baseline.
 
-    Exit codes: 0 = no regressions, 1 = at least one gated metric moved
-    the wrong way past the threshold, 2 = unknown experiment or no
-    stored baseline for it.
+    The baseline is the experiment's latest ``pinned`` record in the
+    run-history store.  ``--update-baseline`` pins this run instead of
+    gating it.  Exit codes: 0 = no regressions, 1 = at least one gated
+    metric moved the wrong way past the threshold (or the run shares no
+    gated metric with its baseline), 2 = unknown experiment or no pinned
+    baseline for it.
     """
-    from repro.obs import compare_to_baseline, load_baselines
+    from repro.obs import compare_to_baseline
+    from repro.obs.store import RunRecord
 
-    store = load_baselines(args.baseline)
-    if args.experiment not in store:
-        print(
-            f"no baseline for {args.experiment!r} in {args.baseline} "
-            f"(known: {sorted(store)}); run "
-            f"'python -m repro analyze {args.experiment} --update-baseline' first",
-            file=sys.stderr,
-        )
-        return 2
     exp = _require_experiment(args.experiment)
     if exp is None:
         return 2
+    pin = None
+    if not args.update_baseline:
+        pin = _pinned_baseline(args, args.experiment, f"compare {args.experiment}")
+        if pin is None:
+            return 2
     if exp.perf:
         # Wall-clock microbench: run it *untraced* (recorder overhead must
         # never land in the measured region) and gate the metrics the
-        # experiment measured itself against the committed BENCH_*.json.
+        # experiment measured itself.
         result = exp()
         current = result.metrics
         if not current:
@@ -251,32 +292,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print("experiment produced no trace analysis", file=sys.stderr)
             return 1
         current = result.analysis.baseline_metrics()
-    comparison = compare_to_baseline(
-        args.experiment,
-        current,
-        store[args.experiment],
-        threshold=args.threshold,
+    comparison = None
+    if pin is not None:
+        comparison = compare_to_baseline(
+            args.experiment, current, pin.metrics, threshold=args.threshold
+        )
+        print(comparison.render())
+    record = RunRecord(
+        exp_id=args.experiment,
+        kind="compare",
+        metrics={k: float(v) for k, v in current.items() if isinstance(v, (int, float))},
+        backend=getattr(args, "backend", None),
+        cores=getattr(args, "cores", None),
     )
-    print(comparison.render())
-    from repro.obs.store import RunRecord
-
     _record_run(
         args,
-        RunRecord(
-            exp_id=args.experiment,
-            kind="compare",
-            metrics={k: float(v) for k, v in current.items() if isinstance(v, (int, float))},
-            backend=getattr(args, "backend", None),
-            cores=getattr(args, "cores", None),
-            verdicts={"baseline": "pass" if comparison.ok else "regression"},
-            deltas={
-                d.name: d.rel_change for d in comparison.deltas if d.rel_change is not None
-            },
-            tags=tuple(f"regressed:{d.name}" for d in comparison.regressions),
-        ),
+        _gate_record(record, comparison),
         virtual=getattr(args, "backend", None) is None and not exp.perf,
     )
-    return 0 if comparison.ok else 1
+    return 0 if comparison is None or comparison.ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -508,8 +542,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``--backend`` here is the *actual* executor kind (sim included — the
     virtual-time run is the deterministic golden path), not the
     redirect-override the experiment commands use.  Prints the serving
-    report; ``--update-baseline``/``--compare`` wire the run into the
-    direction-aware regression gate under the id
+    report; ``--compare`` gates the run against the latest pinned
+    baseline and ``--update-baseline`` pins it, both under the id
     ``serve_<pattern>_<backend>`` (suffixed ``_slo`` when request
     tracing is on, since traced runs export extra metrics).
     ``--scrape-out`` runs traced with a live ``/metrics`` endpoint and
@@ -532,6 +566,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     slo_on = args.slo or objectives is not None
     rtrace_on = slo_on or bool(args.waterfall)
+    # tracing changes the exported metric set, so traced runs gate
+    # against their own baseline id and never touch the golden one
+    exp_id = f"serve_{args.pattern}_{args.backend}" + ("_slo" if rtrace_on else "")
+    pin = None
+    if args.compare:
+        pin = _pinned_baseline(args, exp_id, f"serve {args.pattern}")
+        if pin is None:
+            return 2
     recorder = None
     server = None
     scope: Any = nullcontext()
@@ -594,28 +636,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if slo_on and report.slo is not None:
         print()
         print(report.slo.table().render())
-    # tracing changes the exported metric set, so traced runs gate
-    # against their own baseline id and never touch the golden one
-    exp_id = f"serve_{args.pattern}_{args.backend}" + ("_slo" if rtrace_on else "")
     rc = 0
-    if args.update_baseline:
-        from repro.obs import update_baseline
+    comparison = None
+    if pin is not None:
+        from repro.obs import compare_to_baseline
 
-        path = update_baseline(exp_id, report.metrics(), args.baseline)
-        print(f"baseline updated -> {path}", file=sys.stderr)
-    if args.compare:
-        from repro.obs import compare_to_baseline, load_baselines
-
-        store = load_baselines(args.baseline)
-        if exp_id not in store:
-            print(
-                f"no baseline for {exp_id!r} in {args.baseline} (known: {sorted(store)}); "
-                f"run 'python -m repro serve {args.pattern} --update-baseline' first",
-                file=sys.stderr,
-            )
-            return 2
         comparison = compare_to_baseline(
-            exp_id, report.metrics(), store[exp_id], threshold=args.threshold
+            exp_id, report.metrics(), pin.metrics, threshold=args.threshold
         )
         print()
         print(comparison.render())
@@ -630,22 +657,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _record_run(
         args,
-        report.run_record(
-            exp_id,
-            deltas=(
-                {d.name: d.rel_change for d in comparison.deltas if d.rel_change is not None}
-                if args.compare
-                else None
-            ),
-            extra_verdicts=(
-                {"baseline": "pass" if comparison.ok else "regression"} if args.compare else None
-            ),
-            tags=(
-                tuple(f"regressed:{d.name}" for d in comparison.regressions)
-                if args.compare
-                else ()
-            ),
-        ),
+        _gate_record(report.run_record(exp_id), comparison),
         virtual=get_backend(args.backend).capabilities.virtual_time,
         at=report.duration,
     )
@@ -713,19 +725,6 @@ def _cmd_topics(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_runs_store(args: argparse.Namespace):
-    """Open the run-history store for a ``runs`` subcommand.
-
-    Backfills the committed ``BENCH_*.json`` snapshots by default (so a
-    fresh checkout's first query already sees the perf trajectory);
-    ``--no-backfill`` opens the store as-is.
-    """
-    from repro.obs.store import RunStore
-
-    bench_dir = None if args.no_backfill else args.bench_dir
-    return RunStore.open(args.store, bench_dir=bench_dir)
-
-
 def _cmd_runs_list(args: argparse.Namespace) -> int:
     """One row per experiment with stored history: counts, kinds, flags.
 
@@ -733,9 +732,10 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     through a live Prometheus endpoint and saves one scrape (taken over
     HTTP), proving the ``repro_store_*`` series are visible.
     """
+    from repro.obs.store import RunStore
     from repro.util.tables import Table
 
-    store = _open_runs_store(args)
+    store = RunStore(args.store)
     table = Table(
         ["experiment", "runs", "kinds", "regressed", "last revision"],
         title=f"run history ({store.root}, {len(store)} record(s))",
@@ -783,10 +783,10 @@ def _cmd_runs_query(args: argparse.Namespace) -> int:
     "when did pool throughput last regress" is
     ``runs query --verdict regression``.
     """
-    from repro.obs.store import aggregate
+    from repro.obs.store import RunStore, aggregate
     from repro.util.tables import Table
 
-    store = _open_runs_store(args)
+    store = RunStore(args.store)
     try:
         records = store.query(
             exp=args.experiment,
@@ -847,9 +847,10 @@ def _cmd_runs_timeline(args: argparse.Namespace) -> int:
     flagged run), 2 = no stored history for the experiment.  ``-o``
     writes the self-contained HTML timeline (sparkline lanes, no JS).
     """
+    from repro.obs.store import RunStore
     from repro.obs.timeline import build_timeline, render_timeline_html, render_timeline_text
 
-    store = _open_runs_store(args)
+    store = RunStore(args.store)
     records = store.query(exp=args.experiment, since=args.since, limit=args.limit)
     if not records:
         known = ", ".join(store.experiments()) or "none"
@@ -878,20 +879,6 @@ def _cmd_runs_timeline(args: argparse.Namespace) -> int:
     if n_flags:
         print(f"{n_flags} change-point(s) detected", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_runs_ingest(args: argparse.Namespace) -> int:
-    """Backfill the committed ``BENCH_*.json`` snapshots into the store."""
-    from repro.obs.store import RunStore, ingest_snapshots
-
-    store = RunStore(args.store)
-    added = ingest_snapshots(store, args.bench_dir)
-    print(
-        f"ingested {added} snapshot record(s) from {args.bench_dir} "
-        f"-> {store.root} ({len(store)} total)",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -953,29 +940,18 @@ def _record_flags(p: argparse.ArgumentParser) -> None:
         "successful runs are appended to the run-history store "
         "(query with 'python -m repro runs ...')",
     )
-    g.add_argument(
-        "--store", default=None,
-        help="run-history store directory (default: $REPRO_RUNS_STORE or benchmarks/runs)",
-    )
+    _store_flag(g)
     g.add_argument(
         "--no-record", action="store_true", help="do not record this run into the store"
     )
 
 
-def _store_flags(p: argparse.ArgumentParser) -> None:
-    """The shared store-location flags on every ``runs`` subcommand."""
+def _store_flag(p: argparse._ActionsContainer) -> None:
+    """The shared store-location flag on every command that reads or
+    writes run history (baselines included)."""
     p.add_argument(
         "--store", default=None,
         help="run-history store directory (default: $REPRO_RUNS_STORE or benchmarks/runs)",
-    )
-    p.add_argument(
-        "--bench-dir", default="benchmarks/reports",
-        help="directory of committed BENCH_*.json snapshots to backfill "
-        "(default: benchmarks/reports)",
-    )
-    p.add_argument(
-        "--no-backfill", action="store_true",
-        help="open the store as-is, without backfilling BENCH_*.json history",
     )
 
 
@@ -1001,7 +977,6 @@ def main(argv: list[str] | None = None) -> int:
         "-o", "--output", help="trace file path (default: trace_<experiment>.json)"
     )
 
-    default_baseline = "benchmarks/reports/baselines.json"
     analyze = _experiment_command(
         sub, "analyze", _cmd_analyze,
         "run one experiment traced: work/span analytics + HTML report",
@@ -1011,20 +986,15 @@ def main(argv: list[str] | None = None) -> int:
     analyze.add_argument(
         "-o", "--output", help="report directory (default: benchmarks/reports)"
     )
-    analyze.add_argument(
-        "--update-baseline", action="store_true", help="persist metrics as the new baseline"
-    )
-    analyze.add_argument(
-        "--baseline", default=default_baseline, help=f"baseline store (default: {default_baseline})"
-    )
     _record_flags(analyze)
 
     compare = _experiment_command(
         sub, "compare", _cmd_compare,
-        "re-run one experiment and gate it against its stored baseline",
+        "re-run one experiment and gate it against its pinned baseline",
     )
     compare.add_argument(
-        "--baseline", default=default_baseline, help=f"baseline store (default: {default_baseline})"
+        "--update-baseline", action="store_true",
+        help="pin this run's metrics as the new baseline instead of gating",
     )
     compare.add_argument(
         "--threshold", type=float, default=0.25, help="relative drift tolerated (default: 0.25)"
@@ -1104,7 +1074,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     top.add_argument("--port", type=int, default=0, help="metrics port (default: ephemeral)")
 
-    serve_default_baseline = "benchmarks/reports/BENCH_serve.json"
     serve = sub.add_parser(
         "serve",
         help="replay a seeded arrival trace through the serving gateway "
@@ -1135,15 +1104,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--update-baseline", action="store_true",
-        help="persist this run's metrics as the serving baseline",
+        help="pin this run's metrics as the new serving baseline",
     )
     serve.add_argument(
         "--compare", action="store_true",
-        help="gate this run against the stored serving baseline (exit 1 on regression)",
-    )
-    serve.add_argument(
-        "--baseline", default=serve_default_baseline,
-        help=f"serving baseline store (default: {serve_default_baseline})",
+        help="gate this run against the pinned serving baseline (exit 1 on regression)",
     )
     serve.add_argument(
         "--threshold", type=float, default=0.25,
@@ -1227,7 +1192,7 @@ def main(argv: list[str] | None = None) -> int:
     runs_list = runs_sub.add_parser(
         "list", help="one row per experiment with stored history"
     )
-    _store_flags(runs_list)
+    _store_flag(runs_list)
     runs_list.add_argument(
         "--scrape-out",
         help="export repro_store_* gauges through a live /metrics endpoint and "
@@ -1242,10 +1207,10 @@ def main(argv: list[str] | None = None) -> int:
     runs_query.add_argument(
         "experiment", nargs="?", default=None, help="restrict to one experiment id"
     )
-    _store_flags(runs_query)
+    _store_flag(runs_query)
     runs_query.add_argument(
         "--kind",
-        choices=("analyze", "compare", "serve", "chaos", "bench", "snapshot"),
+        choices=("analyze", "compare", "serve", "chaos", "bench"),
         help="restrict to one producing command",
     )
     runs_query.add_argument("--backend", help="restrict to one executor backend kind")
@@ -1281,7 +1246,7 @@ def main(argv: list[str] | None = None) -> int:
         "change-point detection (exit 1 when a metric regressed)",
     )
     runs_timeline.add_argument("experiment")
-    _store_flags(runs_timeline)
+    _store_flag(runs_timeline)
     runs_timeline.add_argument(
         "-o", "--output", help="write the self-contained HTML timeline to this path"
     )
@@ -1300,26 +1265,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     runs_timeline.set_defaults(fn=_cmd_runs_timeline, direct_backend=True)
 
-    runs_ingest = runs_sub.add_parser(
-        "ingest", help="backfill the committed BENCH_*.json snapshots into the store"
-    )
-    runs_ingest.add_argument(
-        "--store", default=None,
-        help="run-history store directory (default: $REPRO_RUNS_STORE or benchmarks/runs)",
-    )
-    runs_ingest.add_argument(
-        "--bench-dir", default="benchmarks/reports",
-        help="directory of committed BENCH_*.json snapshots (default: benchmarks/reports)",
-    )
-    runs_ingest.set_defaults(fn=_cmd_runs_ingest, direct_backend=True)
-
     runs_compact = runs_sub.add_parser(
         "compact", help="rewrite shards time-ordered, dropping duplicate and foreign lines"
     )
-    runs_compact.add_argument(
-        "--store", default=None,
-        help="run-history store directory (default: $REPRO_RUNS_STORE or benchmarks/runs)",
-    )
+    _store_flag(runs_compact)
     runs_compact.set_defaults(fn=_cmd_runs_compact, direct_backend=True)
 
     web = sub.add_parser("webdemo", help="generate the interactive race-condition pages")

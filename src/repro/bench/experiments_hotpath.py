@@ -15,16 +15,15 @@ remaining two —
 
 Both follow the ``pool_micro`` conventions: best-of-``REPEATS`` minimum
 wall time, direction-tokened metric names (``throughput`` up is good,
-``seconds`` down is good, bare counts are info-only), and a
-``snapshot_*`` helper that persists to ``benchmarks/reports/`` in the
-:mod:`repro.obs.baseline` store format so ``python -m repro compare``
+``seconds`` down is good, bare counts are info-only), and a baseline
+pinned in the run-history store by ``python -m repro compare <bench>
+--update-baseline``, against which ``python -m repro compare <bench>``
 gates the trajectory.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Any, Generator
 
 from repro.bench.harness import ExperimentResult, register
@@ -35,15 +34,9 @@ from repro.util.tables import Table
 __all__ = [
     "run_sim_micro",
     "sim_micro_metrics",
-    "snapshot_sim_bench",
     "run_trace_micro",
     "trace_micro_metrics",
-    "snapshot_trace_bench",
 ]
-
-#: committed trajectory snapshots (same store format as BENCH_pool.json)
-SIM_BENCH_PATH = Path("benchmarks/reports/BENCH_sim.json")
-TRACE_BENCH_PATH = Path("benchmarks/reports/BENCH_trace.json")
 
 #: best-of-N runs; the minimum is the least-disturbed measurement
 REPEATS = 3
@@ -114,13 +107,6 @@ def sim_micro_metrics(
     }
 
 
-def snapshot_sim_bench(path: Path | str = SIM_BENCH_PATH, **kwargs: object) -> Path:
-    """Measure and persist the sim-kernel trajectory snapshot."""
-    from repro.obs.baseline import update_baseline
-
-    return update_baseline("sim_micro", sim_micro_metrics(**kwargs), path)  # type: ignore[arg-type]
-
-
 @register(
     "sim_micro",
     "Sim-kernel event-loop microbench (wall clock)",
@@ -140,9 +126,9 @@ def run_sim_micro() -> ExperimentResult:
     notes = (
         "Wall-clock trajectory anchor for the Simulator.run() hot loop "
         "(heap pop, dead-process skip, clock advance, generator resume). "
-        "Gate with 'python -m repro compare sim_micro --baseline "
-        "benchmarks/reports/BENCH_sim.json'; refresh via snapshot_sim_bench() "
-        "when a PR intentionally moves the loop."
+        "Gate with 'python -m repro compare sim_micro'; re-pin with "
+        "'python -m repro compare sim_micro --update-baseline' when a PR "
+        "intentionally moves the loop."
     )
     return ExperimentResult(exp_id="sim_micro", tables=(table,), notes=notes, metrics=metrics)
 
@@ -181,13 +167,6 @@ def trace_micro_metrics(
     }
 
 
-def snapshot_trace_bench(path: Path | str = TRACE_BENCH_PATH, **kwargs: object) -> Path:
-    """Measure and persist the recorder-emit trajectory snapshot."""
-    from repro.obs.baseline import update_baseline
-
-    return update_baseline("trace_micro", trace_micro_metrics(**kwargs), path)  # type: ignore[arg-type]
-
-
 @register(
     "trace_micro",
     "TraceRecorder emit-path microbench (wall clock)",
@@ -207,8 +186,8 @@ def run_trace_micro() -> ExperimentResult:
     notes = (
         "Wall-clock trajectory anchor for the TraceRecorder emit path "
         "(event construction + sink append + metric bump; memory sink, no "
-        "cap).  Gate with 'python -m repro compare trace_micro --baseline "
-        "benchmarks/reports/BENCH_trace.json'; refresh via "
-        "snapshot_trace_bench() when a PR intentionally moves the path."
+        "cap).  Gate with 'python -m repro compare trace_micro'; re-pin "
+        "with 'python -m repro compare trace_micro --update-baseline' when "
+        "a PR intentionally moves the path."
     )
     return ExperimentResult(exp_id="trace_micro", tables=(table,), notes=notes, metrics=metrics)

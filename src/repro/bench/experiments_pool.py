@@ -1,6 +1,6 @@
 """Pool microbenchmark: the wall-clock perf-trajectory anchor.
 
-ROADMAP item 4 asks for committed ``BENCH_*.json`` perf snapshots so the
+ROADMAP item 4 asks for committed wall-clock perf baselines so the
 direction-aware regression gate (:mod:`repro.obs.baseline`) tracks the
 *wall-clock* trajectory of the hot paths, not just the sim's virtual
 metrics.  This module is the first such anchor: a small, repeatable
@@ -17,25 +17,21 @@ one least disturbed by the machine.  Metric names carry direction
 tokens (``throughput`` up is good, ``seconds`` down is good) so
 ``compare_to_baseline`` gates them without any schema.
 
-``snapshot_pool_bench()`` persists the metrics to
-``benchmarks/reports/BENCH_pool.json`` in the same store format as the
-serve baselines — append-only history lives in git, the gate reads the
-latest committed values.
+``python -m repro compare pool_micro --update-baseline`` pins a run as
+the baseline in the run-history store (``benchmarks/runs/``, committed
+to git); ``python -m repro compare pool_micro`` gates against the
+latest pin.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 
 from repro.bench.harness import ExperimentResult, register
 from repro.executor.threads import WorkStealingPool
 from repro.util.tables import Table
 
-__all__ = ["run_pool_micro", "pool_micro_metrics", "snapshot_pool_bench"]
-
-#: where the trajectory snapshot lives (same format as BENCH_serve.json)
-POOL_BENCH_PATH = Path("benchmarks/reports/BENCH_pool.json")
+__all__ = ["run_pool_micro", "pool_micro_metrics"]
 
 #: tasks per measured run — large enough that per-task overhead
 #: dominates thread wakeup noise, small enough to keep CI fast
@@ -102,15 +98,6 @@ def pool_micro_metrics(
     }
 
 
-def snapshot_pool_bench(
-    path: Path | str = POOL_BENCH_PATH, **kwargs: object
-) -> Path:
-    """Measure and persist the trajectory snapshot (the per-PR ritual)."""
-    from repro.obs.baseline import update_baseline
-
-    return update_baseline("pool_micro", pool_micro_metrics(**kwargs), path)  # type: ignore[arg-type]
-
-
 @register(
     "pool_micro",
     "Work-stealing pool task-plumbing microbench (wall clock)",
@@ -130,9 +117,9 @@ def run_pool_micro() -> ExperimentResult:
     notes = (
         "Wall-clock numbers: machine-dependent by design — this is the "
         "trajectory anchor ROADMAP item 4 asks for, not a golden report. "
-        "Gate against the committed snapshot with obs.baseline "
-        "(direction-aware: throughput up, seconds down) and refresh it "
-        "via repro.bench.experiments_pool.snapshot_pool_bench() when a "
-        "PR intentionally moves the hot path."
+        "Gate against the committed pin with 'python -m repro compare "
+        "pool_micro' (direction-aware: throughput up, seconds down) and "
+        "re-pin with 'python -m repro compare pool_micro --update-baseline' "
+        "when a PR intentionally moves the hot path."
     )
     return ExperimentResult(exp_id="pool_micro", tables=(table,), notes=notes, metrics=metrics)

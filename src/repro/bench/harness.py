@@ -96,9 +96,9 @@ class Experiment:
     run: Callable[[], ExperimentResult] = field(compare=False)
     #: perf experiments measure *wall-clock* metrics themselves (attached
     #: to ``ExperimentResult.metrics`` by the experiment body) and gate
-    #: against a committed ``BENCH_*.json`` snapshot; ``python -m repro
-    #: compare`` runs them untraced so recorder overhead never lands in
-    #: the measured region.
+    #: against a committed pin in the run-history store; ``python -m
+    #: repro compare`` runs them untraced so recorder overhead never
+    #: lands in the measured region.
     perf: bool = False
 
     def __call__(self) -> ExperimentResult:

@@ -16,8 +16,8 @@ work occupies real time without needing real cores.
 Hot-path design
 ---------------
 The per-task plumbing (submit -> queue -> pop -> run -> resolve) is the
-floor under every wall-clock number in ``BENCH_pool.json`` and the
-serving gateway, so it is deliberately lean:
+floor under every wall-clock number in the ``pool_micro`` baseline and
+the serving gateway, so it is deliberately lean:
 
 * task records are plain tuples ``(fn, args, kwargs, future, tid, cost,
   token, deadline)`` — a dataclass costs several times the allocation;

@@ -42,15 +42,16 @@ half, used by ``python -m repro analyze`` / ``compare``):
 * :func:`render_text` / :func:`render_html` (:mod:`repro.obs.report`)
   turn an analysis into a terminal summary or a self-contained HTML
   report with an SVG Gantt timeline;
-* :mod:`repro.obs.baseline` persists analyzed metrics per experiment
-  and gates regressions (:func:`compare_to_baseline`);
+* :mod:`repro.obs.baseline` gates a run's metrics against its pinned
+  baseline, direction-aware (:func:`compare_to_baseline`);
 * :mod:`repro.obs.rtrace` traces individual served requests through
   the gateway's stage chain and :mod:`repro.obs.slo` evaluates
   declarative objectives (with burn-rate windows) over the result —
   :func:`render_waterfall` draws the slowest requests stage by stage;
 * :mod:`repro.obs.store` keeps every analyzed/benchmarked/served run
   as a :class:`RunRecord` in a sharded append-only JSONL store with a
-  query/aggregate API, and :mod:`repro.obs.timeline` reads that
+  query/aggregate API — a baseline is a record tagged :data:`PINNED`
+  (:meth:`RunStore.baseline`) — and :mod:`repro.obs.timeline` reads that
   history back as per-metric trajectories with direction-aware
   change-point detection (``python -m repro runs ...``).
 """
@@ -70,16 +71,7 @@ from repro.obs.analyze import (
     dominant_stage,
     fit_speedup_models,
 )
-from repro.obs.baseline import (
-    DEFAULT_BASELINE_PATH,
-    Comparison,
-    MetricDelta,
-    compare_to_baseline,
-    load_baselines,
-    metric_direction,
-    save_baselines,
-    update_baseline,
-)
+from repro.obs.baseline import Comparison, MetricDelta, compare_to_baseline, metric_direction
 from repro.obs.metrics import Counter, Gauge, Histogram, Metrics, NullMetrics
 from repro.obs.report import render_html, render_text, render_waterfall
 from repro.obs.rtrace import (
@@ -100,6 +92,7 @@ from repro.obs.slo import (
 )
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, Sink
 from repro.obs.store import (
+    PINNED,
     RUN_KINDS,
     Aggregate,
     RunRecord,
@@ -107,7 +100,6 @@ from repro.obs.store import (
     aggregate,
     current_stamp,
     emit_metrics,
-    ingest_snapshots,
     use_clock,
 )
 from repro.obs.timeline import (
@@ -180,23 +172,19 @@ __all__ = [
     "SLOVerdict",
     "evaluate_slo",
     "parse_objective",
-    "DEFAULT_BASELINE_PATH",
     "MetricDelta",
     "Comparison",
     "metric_direction",
-    "load_baselines",
-    "save_baselines",
-    "update_baseline",
     "compare_to_baseline",
     # run-history store + cross-run timelines
     "RUN_KINDS",
+    "PINNED",
     "RunRecord",
     "RunStore",
     "Aggregate",
     "aggregate",
     "use_clock",
     "current_stamp",
-    "ingest_snapshots",
     "emit_metrics",
     "TimelinePoint",
     "Changepoint",

@@ -1,11 +1,12 @@
-"""Baseline store and regression gating for analyzed benchmark runs.
+"""Direction-aware regression gating for benchmark runs.
 
 The analyzer (:mod:`repro.obs.analyze`) reduces a traced experiment to a
-flat metric dict (:meth:`~repro.obs.analyze.TraceAnalysis.baseline_metrics`).
-This module persists those dicts per experiment in a small JSON file —
-``benchmarks/reports/baselines.json`` by default — and compares a fresh
-run against the stored numbers so CI (``python -m repro compare``) can
-flag drift beyond a noise threshold.
+flat metric dict (:meth:`~repro.obs.analyze.TraceAnalysis.baseline_metrics`),
+and perf experiments and serve runs measure their own.  A baseline is a
+run record pinned in the run-history store
+(:meth:`repro.obs.store.RunStore.baseline`); this module compares a
+fresh run against the pinned numbers so CI (``python -m repro compare``)
+can flag drift beyond a noise threshold.
 
 Comparison is **direction-aware**: time-like metrics (seconds, makespan,
 span, waits, latencies, the fitted serial fraction) regress when they
@@ -16,24 +17,15 @@ never gated — they describe the workload, not its performance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
     "MetricDelta",
     "Comparison",
     "metric_direction",
-    "load_baselines",
-    "save_baselines",
-    "update_baseline",
     "compare_to_baseline",
 ]
-
-#: Where ``python -m repro analyze --update-baseline`` persists metrics.
-DEFAULT_BASELINE_PATH = Path("benchmarks/reports/baselines.json")
 
 #: Relative drift tolerated before a gated metric counts as a regression.
 DEFAULT_THRESHOLD = 0.25
@@ -114,9 +106,16 @@ class Comparison:
         return tuple(d for d in self.deltas if d.regressed)
 
     @property
+    def gated(self) -> int:
+        """How many shared metrics could gate: a direction and a positive baseline."""
+        return sum(1 for d in self.deltas if d.direction != "info" and d.baseline > 0)
+
+    @property
     def ok(self) -> bool:
-        """True when nothing regressed (the CI gate condition)."""
-        return not self.regressions
+        """True when something was gated and nothing regressed (the CI
+        gate condition) — a run sharing no gated metric with its baseline
+        proves nothing, so it does not pass."""
+        return self.gated > 0 and not self.regressions
 
     def render(self) -> str:
         """Deterministic text report: one line per compared metric."""
@@ -136,54 +135,13 @@ class Comparison:
             lines.append(f"  new metrics (no baseline): {', '.join(self.new)}")
         if self.missing:
             lines.append(f"  missing metrics (in baseline only): {', '.join(self.missing)}")
-        lines.append(
-            f"result: {len(self.regressions)} regression(s)"
-            if self.regressions
-            else "result: no regressions"
-        )
+        if self.regressions:
+            lines.append(f"result: {len(self.regressions)} regression(s)")
+        elif not self.gated:
+            lines.append("result: nothing gated (no directional metric shared with the baseline)")
+        else:
+            lines.append("result: no regressions")
         return "\n".join(lines)
-
-
-def load_baselines(path: Path | str = DEFAULT_BASELINE_PATH) -> dict[str, dict[str, float]]:
-    """Read the baseline store; a missing file is an empty store."""
-    p = Path(path)
-    if not p.exists():
-        return {}
-    doc = json.loads(p.read_text())
-    experiments = doc.get("experiments", {}) if isinstance(doc, dict) else {}
-    return {
-        exp: {k: float(v) for k, v in metrics.items()}
-        for exp, metrics in experiments.items()
-    }
-
-
-def save_baselines(
-    baselines: Mapping[str, Mapping[str, float]],
-    path: Path | str = DEFAULT_BASELINE_PATH,
-) -> Path:
-    """Write the store as sorted, indented JSON (clean diffs in review)."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "version": 1,
-        "experiments": {
-            exp: dict(sorted((k, float(v)) for k, v in metrics.items()))
-            for exp, metrics in sorted(baselines.items())
-        },
-    }
-    p.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return p
-
-
-def update_baseline(
-    exp_id: str,
-    metrics: Mapping[str, float],
-    path: Path | str = DEFAULT_BASELINE_PATH,
-) -> Path:
-    """Insert/replace one experiment's baseline metrics and persist."""
-    store = load_baselines(path)
-    store[exp_id] = dict(metrics)
-    return save_baselines(store, path)
 
 
 def compare_to_baseline(

@@ -16,8 +16,7 @@ are actually observed:
 * :mod:`~repro.obs.live.flame` — flamegraph SVG/HTML and hotspot-table
   rendering of a folded profile (``python -m repro flame``).
 * :mod:`~repro.obs.live.export` — Prometheus text exposition of metrics
-  and live gauges, a ``/metrics`` + ``/healthz`` HTTP thread, and a
-  periodic JSONL snapshot writer.
+  and live gauges, and a ``/metrics`` + ``/healthz`` HTTP thread.
 * :mod:`~repro.obs.live.dashboard` — the ``python -m repro top`` TTY
   view: worker states, queue depth, throughput, event rates.
 
@@ -28,7 +27,7 @@ bench reports and baseline comparisons are byte-identical.
 """
 
 from repro.obs.live.dashboard import Dashboard
-from repro.obs.live.export import MetricsServer, SnapshotWriter, prometheus_text
+from repro.obs.live.export import MetricsServer, prometheus_text
 from repro.obs.live.flame import (
     FlameNode,
     build_tree,
@@ -87,7 +86,6 @@ __all__ = [
     # export
     "prometheus_text",
     "MetricsServer",
-    "SnapshotWriter",
     # dashboard
     "Dashboard",
 ]

@@ -1,4 +1,4 @@
-"""Metrics export: Prometheus text exposition, ``/metrics`` server, JSONL.
+"""Metrics export: Prometheus text exposition and a ``/metrics`` server.
 
 :func:`prometheus_text` renders a :class:`~repro.obs.metrics.Metrics`
 registry — plus the live worker/queue gauges from the
@@ -12,19 +12,15 @@ test pins.
 :class:`MetricsServer` serves that text from a stdlib
 ``ThreadingHTTPServer`` on a daemon thread at ``/metrics`` (plus a
 ``/healthz`` liveness probe), so a running experiment can be scraped
-with plain ``curl``.  :class:`SnapshotWriter` is the file-based
-equivalent: a background thread appending one JSON snapshot line per
-interval, for runs on machines where nothing can scrape.
+with plain ``curl``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import IO, Any
+from typing import Any
 
 import numpy as np
 
@@ -32,7 +28,7 @@ from repro.obs.live.registry import REGISTRY, WorkerRegistry
 from repro.obs.live.sampler import SamplingProfiler
 from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 
-__all__ = ["prometheus_text", "MetricsServer", "SnapshotWriter"]
+__all__ = ["prometheus_text", "MetricsServer"]
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -233,77 +229,3 @@ class MetricsServer:
     def __repr__(self) -> str:
         state = "listening" if self._server is not None else "stopped"
         return f"MetricsServer({self.host}:{self.port}, {state})"
-
-
-class SnapshotWriter:
-    """Append one JSON metrics snapshot per interval to a file.
-
-    The scrape-less alternative to :class:`MetricsServer`: each line is
-    ``{"t": <seconds since start>, "metrics": {...}, "live": {...}}``,
-    so a finished run leaves a greppable time series behind.  The writer
-    thread is a daemon and each line is flushed as written.
-    """
-
-    def __init__(
-        self,
-        fh: IO[str],
-        metrics: Metrics | None = None,
-        registry: WorkerRegistry | None = None,
-        interval: float = 0.25,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        self._fh = fh
-        self.metrics = metrics
-        self.registry = registry if registry is not None else REGISTRY
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._t0 = 0.0
-        self.lines_written = 0
-
-    def snapshot(self) -> dict[str, Any]:
-        """One snapshot document (also used directly by tests)."""
-        reg = self.registry
-        live: dict[str, float] = {
-            "workers": float(len(reg)),
-            "busy_workers": float(reg.busy_workers()),
-            "inflight_tasks": float(reg.inflight_tasks()),
-        }
-        live.update(reg.gauges())
-        doc: dict[str, Any] = {"t": round(time.monotonic() - self._t0, 6), "live": live}
-        if self.metrics is not None:
-            doc["metrics"] = self.metrics.snapshot()
-        return doc
-
-    def write_once(self) -> None:
-        self._fh.write(json.dumps(self.snapshot(), sort_keys=True) + "\n")
-        self._fh.flush()
-        self.lines_written += 1
-
-    def start(self) -> "SnapshotWriter":
-        if self._thread is not None:
-            raise RuntimeError("snapshot writer already started")
-        self._t0 = time.monotonic()
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._loop, name="obs-snapshots", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the writer, emitting one final snapshot; idempotent."""
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self.write_once()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.write_once()
-
-    def __enter__(self) -> "SnapshotWriter":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()

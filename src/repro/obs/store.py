@@ -1,12 +1,14 @@
 """Queryable run-history store: every analyzed run becomes a record.
 
 Every other observability surface in the repo — ``obs.analyze``,
-``obs.baseline``, ``obs.slo``, the committed ``BENCH_*.json`` snapshots —
-sees exactly one run at a time.  This module is the longitudinal half
-(the paper's own method compares cohorts across semesters): each
-analyzed, benchmarked or served run is captured as a schema-versioned
-:class:`RunRecord` and appended to a sharded, append-only JSONL store
-under ``benchmarks/runs/``, where it stays queryable forever.
+``obs.baseline``, ``obs.slo`` — sees exactly one run at a time.  This
+module is the longitudinal half (the paper's own method compares
+cohorts across semesters): each analyzed, benchmarked or served run is
+captured as a schema-versioned :class:`RunRecord` and appended to a
+sharded, append-only JSONL store under ``benchmarks/runs/``, where it
+stays queryable forever.  It is also where baselines live: a baseline
+is a run record tagged :data:`PINNED`, and :meth:`RunStore.baseline`
+returns an experiment's latest pin for the regression gate.
 
 Three layers:
 
@@ -20,8 +22,9 @@ Three layers:
   JSON line each to ``shard-NN.jsonl`` files (shard chosen by experiment
   id hash), an in-memory index dedups identical records so re-ingesting
   a run is a byte-level no-op, :meth:`RunStore.query` filters by
-  experiment/kind/backend/tag/verdict/time, and :meth:`RunStore.compact`
-  rewrites shards time-ordered with duplicates dropped.
+  experiment/kind/backend/tag/verdict/time, :meth:`RunStore.baseline`
+  finds the latest pin, and :meth:`RunStore.compact` rewrites shards
+  time-ordered with duplicates dropped.
 * :func:`aggregate` — min/mean/max/p50/p99 reducers over a metric,
   optionally grouped by experiment, kind, backend or revision.
 
@@ -31,13 +34,9 @@ owns a :class:`~repro.util.stopwatch.ManualClock` — so golden-path runs
 stamp records from virtual time and never touch the wall clock or the
 git metadata reader.  Outside that scope, :func:`current_stamp` falls
 back to ``time.time()`` and a subprocess-free read of ``.git/HEAD``.
-
-:func:`ingest_snapshots` backfills the committed ``BENCH_*.json``
-snapshot files as deterministic ``kind="snapshot"`` records (timestamp
-0.0), so cross-run timelines start with the existing perf trajectory
-instead of empty history; :class:`RunStore.open` runs it at store-open
-time.  :func:`emit_metrics` exports fleet-level aggregates as gauges the
-Prometheus exporter renders under ``repro_store_*``.
+Pins always take that wall-clock stamp, so the latest pin is the one
+made last.  :func:`emit_metrics` exports fleet-level aggregates as
+gauges the Prometheus exporter renders under ``repro_store_*``.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "DEFAULT_STORE_DIR",
     "RUN_KINDS",
+    "PINNED",
     "REDUCERS",
     "RunRecord",
     "RunStore",
@@ -70,7 +70,6 @@ __all__ = [
     "current_stamp",
     "head_revision",
     "default_store_dir",
-    "ingest_snapshots",
     "emit_metrics",
 ]
 
@@ -84,12 +83,12 @@ DEFAULT_STORE_DIR = Path("benchmarks/runs")
 #: How many ``shard-NN.jsonl`` files a store spreads its records over.
 DEFAULT_SHARDS = 4
 
-#: Which command produced a record.  ``snapshot`` marks backfilled
-#: ``BENCH_*.json`` history; ``bench`` is for harness-level ingestion.
-RUN_KINDS = ("analyze", "compare", "serve", "chaos", "bench", "snapshot")
+#: Which command produced a record; ``bench`` is for harness-level ingestion.
+RUN_KINDS = ("analyze", "compare", "serve", "chaos", "bench")
 
-#: The committed perf-trajectory snapshots :func:`ingest_snapshots` reads.
-SNAPSHOT_FILES = ("BENCH_pool.json", "BENCH_sim.json", "BENCH_trace.json", "BENCH_serve.json")
+#: The tag that makes a record its experiment's baseline
+#: (``--update-baseline``); :meth:`RunStore.baseline` reads the latest.
+PINNED = "pinned"
 
 #: Reducers :func:`aggregate` understands.
 REDUCERS = ("min", "max", "mean", "p50", "p99")
@@ -205,7 +204,7 @@ class RunRecord:
     dominant_stage:
         The stage dominating the latency tail of a traced serve run.
     tags:
-        Free-form labels (``"backfill"``, ``"regressed:<metric>"`` …).
+        Free-form labels (:data:`PINNED`, ``"regressed:<metric>"`` …).
     """
 
     exp_id: str
@@ -328,25 +327,6 @@ class RunStore:
         #: schema, or duplicates) — what :meth:`compact` would clean up.
         self.skipped_lines = 0
         self._load()
-
-    @classmethod
-    def open(
-        cls,
-        root: Path | str | None = None,
-        bench_dir: Path | str | None = "benchmarks/reports",
-        shards: int = DEFAULT_SHARDS,
-    ) -> "RunStore":
-        """Open a store and backfill committed ``BENCH_*.json`` history.
-
-        The backfill (:func:`ingest_snapshots`) is deterministic and
-        deduped, so opening is idempotent: the first open seeds the
-        timeline with the committed perf trajectory, every later open is
-        a byte-level no-op.  Pass ``bench_dir=None`` to skip it.
-        """
-        store = cls(root, shards=shards)
-        if bench_dir is not None:
-            ingest_snapshots(store, bench_dir)
-        return store
 
     # -- persistence ---------------------------------------------------------
 
@@ -503,6 +483,13 @@ class RunStore:
             out = out[-limit:]
         return out
 
+    def baseline(self, exp_id: str) -> RunRecord | None:
+        """The latest :data:`PINNED` record for ``exp_id`` — the baseline
+        ``compare`` and ``serve --compare`` gate against — or ``None``
+        before the first pin."""
+        pins = self.query(exp=exp_id, tag=PINNED)
+        return pins[-1] if pins else None
+
     def __repr__(self) -> str:
         return f"RunStore({str(self.root)!r}, {len(self._records)} record(s), {self.shards} shard(s))"
 
@@ -571,49 +558,6 @@ def aggregate(
         Aggregate(group=name, n=len(vals), value=reduce_values(vals, reduce))
         for name, vals in sorted(groups.items())
     ]
-
-
-# -- BENCH_*.json backfill ---------------------------------------------------
-
-
-def ingest_snapshots(
-    store: RunStore,
-    bench_dir: Path | str = "benchmarks/reports",
-    files: Sequence[str] = SNAPSHOT_FILES,
-) -> int:
-    """Backfill committed ``BENCH_*.json`` snapshots as run records.
-
-    Each experiment entry in each snapshot file becomes one
-    ``kind="snapshot"`` record with a **deterministic** stamp (timestamp
-    0.0, revision ``snapshot:<file>``, tag ``backfill``) — so the
-    backfill sorts before any live run, re-running it dedups to a no-op,
-    and timelines start with the committed perf trajectory.  Returns how
-    many records were actually added.
-    """
-    added = 0
-    for name in files:
-        path = Path(bench_dir) / name
-        if not path.exists():
-            continue
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        experiments = doc.get("experiments", {}) if isinstance(doc, dict) else {}
-        for exp_id, metrics in sorted(experiments.items()):
-            if not isinstance(metrics, dict):
-                continue
-            rec = RunRecord(
-                exp_id=exp_id,
-                kind="snapshot",
-                metrics={k: float(v) for k, v in metrics.items()},
-                timestamp=0.0,
-                revision=f"snapshot:{name}",
-                tags=("backfill",),
-            )
-            if store.append(rec):
-                added += 1
-    return added
 
 
 # -- Prometheus export -------------------------------------------------------

@@ -262,24 +262,17 @@ class LoadReport:
             out.update(self.slo.metrics())
         return out
 
-    def run_record(
-        self,
-        exp_id: str,
-        deltas: dict[str, float] | None = None,
-        extra_verdicts: dict[str, str] | None = None,
-        tags: tuple[str, ...] = (),
-    ):
+    def run_record(self, exp_id: str):
         """This run as a :class:`repro.obs.store.RunRecord` (unstamped —
-        :meth:`RunStore.record` supplies timestamp and revision).
+        :meth:`RunStore.add` supplies timestamp and revision).
 
         Carries the full flat metric map, the SLO verdict when one was
         evaluated, and the dominant latency stage when the run was
-        traced; ``deltas``/``extra_verdicts`` let the CLI fold in a
-        baseline comparison.
+        traced.
         """
         from repro.obs.store import RunRecord
 
-        verdicts = dict(extra_verdicts or {})
+        verdicts: dict[str, str] = {}
         if self.slo is not None:
             verdicts["slo"] = "pass" if self.slo.passed else "violation"
         dom = self.dominant_stage()
@@ -291,9 +284,7 @@ class LoadReport:
             cores=self.cores,
             seed=self.seed,
             verdicts=verdicts,
-            deltas=dict(deltas or {}),
             dominant_stage=dom.stage if dom is not None else None,
-            tags=tags,
         )
 
     def stage_latencies(self) -> tuple[StageLatency, ...]:

@@ -5,18 +5,18 @@ it never perturbs the deterministic artefacts the repo commits.  These
 tests pin that down for one representative sim ablation: the rendered
 terminal report must match the committed golden byte-for-byte whether or
 not an ambient trace recorder is installed, and the analysis metrics the
-baseline gate consumes must match the committed ``baselines.json`` entry
-exactly (the sim runs in virtual time, so they are reproducible to the
-last digit, not approximately).
+baseline gate consumes must match the committed pin exactly (the sim
+runs in virtual time, so they are reproducible to the last digit, not
+approximately).
 """
 
-import json
 from pathlib import Path
 
 import repro.bench as bench
-from repro.obs import TraceRecorder, use
+from repro.obs import RunStore, TraceRecorder, use
 
 REPORTS = Path(__file__).resolve().parents[2] / "benchmarks" / "reports"
+RUNS = Path(__file__).resolve().parents[2] / "benchmarks" / "runs"
 
 
 def _golden_text(exp_id: str) -> str:
@@ -39,8 +39,7 @@ class TestTracedVsUntracedGoldens:
         assert recorder.events()
 
     def test_traced_analysis_metrics_match_committed_baseline(self):
-        store = json.loads((REPORTS / "baselines.json").read_text())
-        committed = store["experiments"]["abl_sched"]
+        committed = RunStore(RUNS).baseline("abl_sched").metrics
         exp = bench.get_experiment("abl_sched")
         with use(TraceRecorder()):
             result = exp()

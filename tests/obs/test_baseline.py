@@ -1,45 +1,8 @@
-"""Baseline store: persistence round-trips and direction-aware gating."""
-
-import json
+"""Direction-aware regression gating."""
 
 import pytest
 
-from repro.obs import (
-    Comparison,
-    compare_to_baseline,
-    load_baselines,
-    metric_direction,
-    save_baselines,
-    update_baseline,
-)
-
-
-class TestStore:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baselines.json"
-        data = {"exp_a": {"primary.work": 1.5, "trace.tasks": 8.0}}
-        save_baselines(data, path)
-        assert load_baselines(path) == data
-
-    def test_missing_file_is_empty_store(self, tmp_path):
-        assert load_baselines(tmp_path / "nope.json") == {}
-
-    def test_update_inserts_and_replaces(self, tmp_path):
-        path = tmp_path / "b.json"
-        update_baseline("e1", {"m": 1.0}, path)
-        update_baseline("e2", {"m": 2.0}, path)
-        update_baseline("e1", {"m": 3.0}, path)
-        store = load_baselines(path)
-        assert store == {"e1": {"m": 3.0}, "e2": {"m": 2.0}}
-
-    def test_file_is_sorted_versioned_json(self, tmp_path):
-        path = tmp_path / "b.json"
-        save_baselines({"z": {"b": 2.0, "a": 1.0}, "a": {"x": 0.0}}, path)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 1
-        assert list(doc["experiments"]) == ["a", "z"]
-        assert list(doc["experiments"]["z"]) == ["a", "b"]
-        assert path.read_text().endswith("\n")
+from repro.obs import Comparison, compare_to_baseline, metric_direction
 
 
 class TestDirections:
@@ -99,19 +62,22 @@ class TestCompare:
 
     def test_counts_never_gate(self):
         cmp = compare_to_baseline("e", {"trace.steals": 900.0}, {"trace.steals": 3.0})
-        assert cmp.ok
+        assert not cmp.regressions
+        assert not cmp.ok
         (d,) = cmp.deltas
         assert d.direction == "info" and not d.regressed
 
     def test_zero_baseline_never_gates(self):
         cmp = compare_to_baseline("e", {"lock_wait.total_seconds": 5.0},
                                   {"lock_wait.total_seconds": 0.0})
-        assert cmp.ok
+        assert not cmp.regressions
+        assert not cmp.ok
         assert cmp.deltas[0].rel_change is None
 
     def test_one_sided_metrics_reported_not_gated(self):
         cmp = compare_to_baseline("e", {"new.metric": 1.0}, {"gone.seconds": 1.0})
-        assert cmp.ok
+        assert not cmp.regressions
+        assert not cmp.ok
         assert cmp.new == ("new.metric",)
         assert cmp.missing == ("gone.seconds",)
 

@@ -1,12 +1,10 @@
-"""Metrics export: golden Prometheus exposition, HTTP server, JSONL writer."""
+"""Metrics export: golden Prometheus exposition and the HTTP server."""
 
-import io
-import json
 import urllib.request
 
 import pytest
 
-from repro.obs.live.export import MetricsServer, SnapshotWriter, _sanitize, prometheus_text
+from repro.obs.live.export import MetricsServer, _sanitize, prometheus_text
 from repro.obs.live.registry import WorkerRegistry
 from repro.obs.live.sampler import Sample, SamplingProfiler
 from repro.obs.metrics import Metrics
@@ -132,28 +130,3 @@ class TestMetricsServer:
         server.stop()
         server.stop()
 
-
-class TestSnapshotWriter:
-    def test_write_once_emits_sorted_json(self):
-        reg = WorkerRegistry()
-        reg.register_gauge("p.queue_depth", lambda: 2)
-        fh = io.StringIO()
-        w = SnapshotWriter(fh, metrics=_metrics(), registry=reg)
-        w.write_once()
-        doc = json.loads(fh.getvalue())
-        assert doc["live"]["workers"] == 0
-        assert doc["live"]["p.queue_depth"] == 2.0
-        assert doc["metrics"]["pool.steals"] == 3
-        assert w.lines_written == 1
-
-    def test_stop_writes_final_snapshot(self):
-        fh = io.StringIO()
-        with SnapshotWriter(fh, registry=WorkerRegistry(), interval=60.0):
-            pass  # interval never fires; stop() still leaves one line
-        lines = [json.loads(line) for line in fh.getvalue().splitlines()]
-        assert len(lines) == 1
-        assert "live" in lines[0] and "metrics" not in lines[0]
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            SnapshotWriter(io.StringIO(), interval=0)

@@ -2,12 +2,14 @@
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.store import (
+    PINNED,
     RUN_KINDS,
     SCHEMA_VERSION,
     RunRecord,
@@ -15,7 +17,6 @@ from repro.obs.store import (
     aggregate,
     current_stamp,
     emit_metrics,
-    ingest_snapshots,
     reduce_values,
     use_clock,
 )
@@ -279,59 +280,60 @@ class TestAggregate:
             aggregate(records, "m", group_by="seed")
 
 
-# -- snapshot backfill -------------------------------------------------------
+# -- pinned baselines --------------------------------------------------------
 
-class TestIngestSnapshots:
-    def _bench_dir(self, tmp_path):
-        bench = tmp_path / "reports"
-        bench.mkdir()
-        (bench / "BENCH_pool.json").write_text(
-            json.dumps(
-                {"version": 1, "experiments": {"pool_micro": {"pool.tasks_per_second": 900.0}}}
-            )
-        )
-        (bench / "BENCH_serve.json").write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "experiments": {
-                        "serve_overload_sim": {"serve.throughput_rps": 1981.0},
-                        "serve_bursty_sim": {"serve.throughput_rps": 2010.0},
-                    },
-                }
-            )
-        )
-        return bench
+#: The committed store: nothing but the pinned baselines CI gates against.
+COMMITTED_RUNS = Path(__file__).resolve().parents[2] / "benchmarks" / "runs"
 
-    def test_backfill_is_deterministic_and_idempotent(self, tmp_path):
-        bench = self._bench_dir(tmp_path)
-        store = RunStore(tmp_path / "runs")
-        assert ingest_snapshots(store, bench) == 3
-        snap = store.query(exp="pool_micro")[0]
-        assert snap.kind == "snapshot"
-        assert snap.timestamp == 0.0
-        assert snap.revision == "snapshot:BENCH_pool.json"
-        assert snap.tags == ("backfill",)
-        files = {p.name: p.read_bytes() for p in (tmp_path / "runs").glob("*.jsonl")}
-        assert ingest_snapshots(store, bench) == 0  # second pass: all dups
-        assert {p.name: p.read_bytes() for p in (tmp_path / "runs").glob("*.jsonl")} == files
+#: One pin per gated id: the three sim ablations, the three wall-clock
+#: microbenches and the three serve runs.
+COMMITTED_PINS = (
+    "abl_amdahl", "abl_policy", "abl_sched",
+    "pool_micro", "sim_micro", "trace_micro",
+    "serve_bursty_sim", "serve_overload_sim", "serve_overload_sim_slo",
+)
 
-    def test_open_backfills(self, tmp_path):
-        bench = self._bench_dir(tmp_path)
-        store = RunStore.open(tmp_path / "runs", bench_dir=bench)
-        assert len(store) == 3
-        assert len(RunStore.open(tmp_path / "runs", bench_dir=bench)) == 3
 
-    def test_missing_bench_dir_is_empty_backfill(self, tmp_path):
-        store = RunStore.open(tmp_path / "runs", bench_dir=tmp_path / "nope")
-        assert len(store) == 0
+class TestBaseline:
+    def test_none_before_any_pin(self, tmp_path):
+        store = RunStore(tmp_path)
+        assert store.baseline("exp_a") is None
+        store.append(rec())
+        assert store.baseline("exp_a") is None
 
-    def test_against_committed_snapshots(self, tmp_path):
-        # the real committed BENCH_*.json files must backfill cleanly
-        store = RunStore.open(tmp_path / "runs", bench_dir="benchmarks/reports")
-        assert "pool_micro" in store.experiments()
-        assert "serve_overload_sim" in store.experiments()
-        assert all(r.kind == "snapshot" for r in store)
+    def test_latest_pin_wins(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.append(rec(metrics={"m": 1.0}, ts=1.0, tags=(PINNED,)))
+        store.append(rec(metrics={"m": 3.0}, ts=3.0, tags=(PINNED,)))
+        store.append(rec(metrics={"m": 2.0}, ts=2.0, tags=(PINNED,)))
+        store.append(rec(exp="exp_b", metrics={"m": 9.0}, ts=9.0, tags=(PINNED,)))
+        assert store.baseline("exp_a").metrics == {"m": 3.0}
+
+    def test_later_unpinned_run_never_counts(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.append(rec(metrics={"m": 1.0}, ts=1.0, tags=(PINNED,)))
+        store.append(rec(metrics={"m": 2.0}, ts=2.0, tags=("regressed:m",)))
+        assert store.baseline("exp_a").metrics == {"m": 1.0}
+
+    def test_survives_reopen_and_compact(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.append(rec(metrics={"m": 2.0}, ts=2.0, tags=(PINNED,)))
+        store.append(rec(metrics={"m": 1.0}, ts=1.0, tags=(PINNED,)))
+        store.append(rec(metrics={"m": 3.0}, ts=3.0))
+        pin = store.baseline("exp_a")
+        assert RunStore(tmp_path).baseline("exp_a") == pin
+        reopened = RunStore(tmp_path)
+        reopened.compact()
+        assert reopened.baseline("exp_a") == pin
+        assert RunStore(tmp_path).baseline("exp_a") == pin
+
+    def test_committed_store_holds_exactly_the_pins(self):
+        # auto-recorded runs stay out of git: every committed record is
+        # a pin, one per gated id
+        records = list(RunStore(COMMITTED_RUNS))
+        assert RunStore(COMMITTED_RUNS).skipped_lines == 0
+        assert sorted(r.exp_id for r in records) == sorted(COMMITTED_PINS)
+        assert all(r.tags == (PINNED,) for r in records)
 
 
 # -- fleet gauges ------------------------------------------------------------

@@ -94,7 +94,7 @@ class TestBuildTimeline:
         records = series_records("serve.throughput_rps", [1.0, 2.0])
         records.insert(
             1,
-            RunRecord(exp_id="exp", kind="snapshot", metrics={"other": 1.0}, timestamp=0.5),
+            RunRecord(exp_id="exp", kind="bench", metrics={"other": 1.0}, timestamp=0.5),
         )
         (series,) = build_timeline(records)
         assert [p.index for p in series.points] == [0, 2]

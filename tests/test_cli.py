@@ -1,10 +1,23 @@
 """Tests for the ``python -m repro`` command-line front end."""
 
-import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.obs.store import PINNED, RunRecord, RunStore
+
+#: The committed run-history store: the pinned baselines CI gates against.
+COMMITTED_RUNS = Path(__file__).resolve().parents[1] / "benchmarks" / "runs"
+
+
+def pin_halved_makespan(store) -> None:
+    """Append a re-stamped copy of the ``abl_sched`` pin with
+    ``primary.makespan`` halved, so the next run reads "2x slower"."""
+    pin = RunStore(store).baseline("abl_sched")
+    metrics = {**pin.metrics, "primary.makespan": pin.metrics["primary.makespan"] / 2}
+    RunStore(store).append(replace(pin, metrics=metrics, timestamp=pin.timestamp + 1.0))
 
 
 class TestList:
@@ -54,29 +67,39 @@ class TestAnalyze:
 
 class TestCompare:
     def test_missing_baseline_exits_2(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baselines.json")
-        assert main(["compare", "abl_sched", "--baseline", baseline]) == 2
+        store = str(tmp_path / "runs")
+        assert main(["compare", "abl_sched", "--store", store]) == 2
         assert "no baseline" in capsys.readouterr().err
 
     def test_roundtrip_then_injected_regression(self, tmp_path, capsys):
-        """The CI gate end-to-end: a run compared against its own baseline
-        passes; doctoring the stored makespan to half flags a regression
+        """The CI gate end-to-end: a run compared against its own pin
+        passes; a later pin with half the makespan flags a regression
         and exits non-zero."""
-        baseline = tmp_path / "baselines.json"
-        assert main(
-            ["analyze", "abl_sched", "-o", str(tmp_path),
-             "--update-baseline", "--baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["compare", "abl_sched", "--baseline", str(baseline)]) == 0
+        store = tmp_path / "runs"
+        assert main(["compare", "abl_sched", "--update-baseline", "--store", str(store)]) == 0
+        assert "baseline pinned" in capsys.readouterr().err
+        assert main(["compare", "abl_sched", "--store", str(store)]) == 0
         assert "no regressions" in capsys.readouterr().out
 
-        doc = json.loads(baseline.read_text())
-        doc["experiments"]["abl_sched"]["primary.makespan"] /= 2  # now "2x slower"
-        baseline.write_text(json.dumps(doc))
-        assert main(["compare", "abl_sched", "--baseline", str(baseline)]) == 1
+        pin_halved_makespan(store)
+        assert main(["compare", "abl_sched", "--store", str(store)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out and "primary.makespan" in out
+
+    def test_nothing_gated_exits_1(self, tmp_path, capsys):
+        # a pin sharing no metric name with the run (a rename, or a pin
+        # made by another command) must not pass the gate
+        store = RunStore(tmp_path / "runs")
+        store.append(
+            RunRecord(
+                exp_id="pool_micro", kind="compare", metrics={"primary.makespan": 1.0},
+                timestamp=1.0, revision="test", tags=(PINNED,),
+            )
+        )
+        assert main(["compare", "pool_micro", "--store", str(store.root)]) == 1
+        out = capsys.readouterr().out
+        assert "0 metric(s)" in out
+        assert "result: nothing gated" in out
 
 
 class TestChaos:
@@ -189,24 +212,56 @@ class TestServe:
         assert capsys.readouterr().out == first
 
     def test_compare_without_baseline_exits_2(self, tmp_path, capsys):
-        baseline = str(tmp_path / "serve.json")
+        store = str(tmp_path / "runs")
         assert main(
-            ["serve", "steady", "--requests", "500", "--compare", "--baseline", baseline]
+            ["serve", "steady", "--requests", "500", "--compare", "--store", store]
         ) == 2
         assert "no baseline" in capsys.readouterr().err
 
     def test_baseline_roundtrip(self, tmp_path, capsys):
-        baseline = str(tmp_path / "serve.json")
+        store = str(tmp_path / "runs")
         assert main(
-            ["serve", "overload", "--requests", "2000",
-             "--update-baseline", "--baseline", baseline]
+            ["serve", "overload", "--requests", "2000", "--update-baseline", "--store", store]
         ) == 0
         capsys.readouterr()
         assert main(
-            ["serve", "overload", "--requests", "2000",
-             "--compare", "--baseline", baseline]
+            ["serve", "overload", "--requests", "2000", "--compare", "--store", store]
         ) == 0
         assert "no regressions" in capsys.readouterr().out
+
+    def test_shorter_repin_becomes_the_baseline(self, tmp_path, capsys):
+        # pins carry the wall clock even on sim: a virtual stamp is the
+        # run's length, and would let the older 4000-request pin win
+        store = str(tmp_path / "runs")
+        for n in ("4000", "2000"):
+            assert main(
+                ["serve", "overload", "--requests", n, "--update-baseline", "--store", store]
+            ) == 0
+        assert RunStore(store).baseline("serve_overload_sim").metrics["serve.completed"] == 2000
+        capsys.readouterr()
+        assert main(
+            ["serve", "overload", "--requests", "2000", "--compare", "--store", store]
+        ) == 0
+        assert "no regressions" in capsys.readouterr().out
+
+    def test_pin_ignores_no_record(self, tmp_path, capsys):
+        store = tmp_path / "runs"
+        assert main(
+            ["serve", "steady", "--requests", "500", "--update-baseline", "--no-record",
+             "--store", str(store)]
+        ) == 0
+        (pin,) = list(RunStore(store))
+        assert pin.tags == (PINNED,)
+        assert pin.revision != "sim"  # wall-clock stamped
+
+    def test_pin_write_error_raises_record_error_warns(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "runs"
+        not_a_dir.write_text("")
+        args = ["serve", "steady", "--requests", "500", "--store", str(not_a_dir)]
+        assert main(args) == 0
+        assert "warning: run-history record failed" in capsys.readouterr().err
+        with pytest.raises(OSError):
+            main(args + ["--update-baseline"])
 
     def test_scrape_out_exposes_serve_metrics(self, tmp_path, capsys):
         scrape = tmp_path / "metrics.prom"
@@ -266,17 +321,16 @@ class TestServe:
         assert "repro_slo_ok" in text
 
     def test_traced_compare_uses_its_own_baseline_id(self, tmp_path, capsys):
-        baseline = str(tmp_path / "serve.json")
+        store = str(tmp_path / "runs")
         assert main(
             ["serve", "steady", "--requests", "800", "--slo",
-             "--update-baseline", "--baseline", baseline]
+             "--update-baseline", "--store", store]
         ) == 0
         capsys.readouterr()
-        store = json.load(open(baseline))
-        assert list(store["experiments"]) == ["serve_steady_sim_slo"]
+        assert [r.exp_id for r in RunStore(store).query(tag=PINNED)] == ["serve_steady_sim_slo"]
         assert main(
             ["serve", "steady", "--requests", "800", "--slo",
-             "--compare", "--baseline", baseline]
+             "--compare", "--store", store]
         ) == 0
         assert "no regressions" in capsys.readouterr().out
 
@@ -304,10 +358,7 @@ class TestSloCommand:
 class TestRuns:
     def seeded_store(self, tmp_path):
         """A store holding the acceptance trajectory: two healthy serve
-        runs and one deliberately-regressed one (the CLI backfills the
-        committed snapshot on top, making >= 3 healthy points)."""
-        from repro.obs.store import RunRecord, RunStore
-
+        runs and one deliberately-regressed one."""
         store = RunStore(tmp_path / "runs")
         for ts, rps in ((1.0, 1990.0), (2.0, 1975.0)):
             store.append(
@@ -333,20 +384,18 @@ class TestRuns:
         )
         return str(tmp_path / "runs")
 
-    def test_ingest_then_list_shows_committed_history(self, tmp_path, capsys):
-        store = str(tmp_path / "runs")
-        assert main(["runs", "ingest", "--store", store]) == 0
-        assert "ingested" in capsys.readouterr().err
-        assert main(["runs", "list", "--store", store]) == 0
+    def test_list_shows_committed_history(self, capsys):
+        assert main(["runs", "list", "--store", str(COMMITTED_RUNS)]) == 0
         out = capsys.readouterr().out
-        for exp_id in ("pool_micro", "sim_micro", "trace_micro", "serve_overload_sim"):
+        for exp_id in ("abl_sched", "pool_micro", "sim_micro", "trace_micro",
+                       "serve_overload_sim"):
             assert exp_id in out
-        assert "snapshot" in out
+        assert "9 record(s)" in out
 
     def test_timeline_flags_regressed_run_and_writes_html(self, tmp_path, capsys):
-        # the acceptance scenario: >= 3 ingested runs (committed BENCH
-        # backfill + two healthy) plus one deliberately-regressed run ->
-        # change-point flagged, exit code != 0, self-contained HTML out
+        # the acceptance scenario: two healthy runs plus one
+        # deliberately-regressed run -> change-point flagged, exit code
+        # != 0, self-contained HTML out
         store = self.seeded_store(tmp_path)
         html_path = tmp_path / "timeline.html"
         rc = main(
@@ -355,7 +404,7 @@ class TestRuns:
         )
         assert rc == 1
         captured = capsys.readouterr()
-        assert "change-point: serve.throughput_rps at run 3" in captured.out
+        assert "change-point: serve.throughput_rps at run 2" in captured.out
         assert "change-point(s) detected" in captured.err
         html = html_path.read_text()
         assert html.startswith("<!DOCTYPE html>")
@@ -363,8 +412,7 @@ class TestRuns:
 
     def test_timeline_without_history_exits_2(self, tmp_path, capsys):
         rc = main(
-            ["runs", "timeline", "serve_overload_sim",
-             "--store", str(tmp_path / "empty"), "--no-backfill"]
+            ["runs", "timeline", "serve_overload_sim", "--store", str(tmp_path / "empty")]
         )
         assert rc == 2
         assert "no stored runs" in capsys.readouterr().err
@@ -372,18 +420,16 @@ class TestRuns:
     def test_query_filters_and_aggregates(self, tmp_path, capsys):
         store = self.seeded_store(tmp_path)
         assert main(
-            ["runs", "query", "serve_overload_sim", "--store", store,
-             "--no-backfill", "--kind", "serve"]
+            ["runs", "query", "serve_overload_sim", "--store", store, "--kind", "serve"]
         ) == 0
         out = capsys.readouterr().out
         assert "3 record(s)" in out
         assert main(
-            ["runs", "query", "--store", store, "--no-backfill",
-             "--tag", "regressed:deliberate"]
+            ["runs", "query", "--store", store, "--tag", "regressed:deliberate"]
         ) == 0
         assert "1 record(s)" in capsys.readouterr().out
         assert main(
-            ["runs", "query", "--store", store, "--no-backfill",
+            ["runs", "query", "--store", store,
              "--metric", "serve.throughput_rps", "--reduce", "min", "--group-by", "exp"]
         ) == 0
         out = capsys.readouterr().out
@@ -393,8 +439,7 @@ class TestRuns:
         store = self.seeded_store(tmp_path)
         scrape = tmp_path / "scrape.txt"
         assert main(
-            ["runs", "list", "--store", store, "--no-backfill",
-             "--scrape-out", str(scrape)]
+            ["runs", "list", "--store", store, "--scrape-out", str(scrape)]
         ) == 0
         text = scrape.read_text()
         assert "# TYPE repro_store_runs gauge" in text
@@ -409,8 +454,6 @@ class TestRuns:
 
 class TestAutoRecord:
     def test_serve_records_and_double_ingest_is_byte_identical(self, tmp_path, capsys):
-        from pathlib import Path
-
         store = tmp_path / "runs"
         args = ["serve", "bursty", "--requests", "2000", "--store", str(store)]
         assert main(args) == 0
@@ -424,8 +467,6 @@ class TestAutoRecord:
         assert {p.name: p.read_bytes() for p in Path(store).glob("*.jsonl")} == shards
 
     def test_serve_record_carries_identity(self, tmp_path, capsys):
-        from repro.obs.store import RunStore
-
         store = tmp_path / "runs"
         assert main(
             ["serve", "steady", "--requests", "1000", "--seed", "7",
@@ -449,8 +490,6 @@ class TestAutoRecord:
         assert not store.exists()
 
     def test_analyze_records_analysis_metrics(self, tmp_path, capsys):
-        from repro.obs.store import RunStore
-
         store = tmp_path / "runs"
         assert main(
             ["analyze", "abl_sched", "-o", str(tmp_path), "--store", str(store)]
@@ -462,31 +501,17 @@ class TestAutoRecord:
         assert "primary.makespan" in rec.metrics
 
     def test_compare_records_verdict_and_deltas(self, tmp_path, capsys):
-        import json
-
-        from repro.obs.store import RunStore
-
-        baseline = tmp_path / "baselines.json"
         store = tmp_path / "runs"
-        assert main(
-            ["analyze", "abl_sched", "-o", str(tmp_path), "--update-baseline",
-             "--baseline", str(baseline), "--no-record"]
-        ) == 0
+        assert main(["compare", "abl_sched", "--update-baseline", "--store", str(store)]) == 0
         capsys.readouterr()
-        assert main(
-            ["compare", "abl_sched", "--baseline", str(baseline), "--store", str(store)]
-        ) == 0
+        assert main(["compare", "abl_sched", "--store", str(store)]) == 0
         capsys.readouterr()
-        # doctor the stored makespan: the re-run now "regresses", and the
+        # pin half the makespan: the re-run now "regresses", and the
         # verdict + per-metric deltas land in the store
-        doc = json.loads(baseline.read_text())
-        doc["experiments"]["abl_sched"]["primary.makespan"] /= 2
-        baseline.write_text(json.dumps(doc))
-        assert main(
-            ["compare", "abl_sched", "--baseline", str(baseline), "--store", str(store)]
-        ) == 1
+        pin_halved_makespan(store)
+        assert main(["compare", "abl_sched", "--store", str(store)]) == 1
         capsys.readouterr()
-        records = RunStore(store).query(kind="compare")
+        records = [r for r in RunStore(store).query(kind="compare") if PINNED not in r.tags]
         assert [r.verdicts["baseline"] for r in records] == ["pass", "regression"]
         bad = records[-1]
         assert bad.regressed
@@ -494,8 +519,6 @@ class TestAutoRecord:
         assert "regressed:primary.makespan" in bad.tags
 
     def test_chaos_records_gate_verdict(self, tmp_path, capsys):
-        from repro.obs.store import RunStore
-
         store = tmp_path / "runs"
         assert main(
             ["chaos", "proj10", "--expect", "retry,fault", "--store", str(store)]
