@@ -25,8 +25,14 @@ Design notes
   :mod:`repro.resilience.remote`).
 * **Shared-memory data plane.**  Large ndarray arguments travel through
   named ``multiprocessing.shared_memory`` segments instead of the pickle
-  pipe (:mod:`repro.executor.shm`); results come back the same way via
-  one-shot segments.
+  pipe (:mod:`repro.executor.shm`).  The pool's arena parks the segment
+  of an argument that died, still mapped, and copies a later argument
+  of similar size into it, so a long-lived pool stops paying for fresh
+  pages every round.  Results come back through one-shot segments that
+  workers name ``psm_<token>_<wid>_<n>``, with a random token per pool:
+  a worker killed between creating one and replying leaves it behind,
+  and :meth:`ProcessPool.shutdown` sweeps the pool's prefix once the
+  workers are gone.
 * **Trace shards.**  Workers cannot reach the parent recorder, so each
   writes a JSONL shard timestamped on the parent's timeline; shutdown
   merges the shards back (:mod:`repro.obs.shards`), giving ``obs.analyze``
@@ -60,6 +66,7 @@ import itertools
 import multiprocessing as mp
 import os
 import pickle
+import secrets
 import shutil
 import tempfile
 import threading
@@ -67,6 +74,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.executor import shm as shm_plane
@@ -87,6 +95,8 @@ __all__ = ["ProcessPool", "usable_cpus"]
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: Held while a pool starts workers with :data:`_THREAD_VARS` set in ``os.environ``.
 _env_lock = threading.Lock()
+#: Where POSIX shared-memory segments show up as files (Linux).
+_SHM_DIR = Path("/dev/shm")
 
 
 def usable_cpus() -> int:
@@ -96,6 +106,18 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API (macOS, Windows)
         return os.cpu_count() or 1
+
+
+def _sweep_segments(prefix: str) -> None:
+    """Unlink every segment whose name starts with ``prefix``.
+
+    Only where segments show up as files under ``/dev/shm`` (Linux);
+    elsewhere there is nothing to list, and the sweep is skipped.
+    """
+    if not _SHM_DIR.is_dir():
+        return
+    for path in _SHM_DIR.glob(f"{prefix}*"):
+        path.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -129,6 +151,7 @@ class _WorkerConfig:
     shard_file: str | None
     wall_epoch: float  # parent time.time() at the recorder's t=0
     shm_threshold: int
+    oneshot_prefix: str  # this worker's result segments are named prefix + n
 
 
 @dataclass
@@ -161,6 +184,7 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
     listener.start()
     recorder = TraceRecorder(sink=JsonlSink(cfg.shard_file)) if cfg.shard_file else None
     pid = os.getpid()
+    oneshot_names = (f"{cfg.oneshot_prefix}{n}" for n in itertools.count())
 
     def now() -> float:
         # Same-host wall clock minus the parent's epoch: timestamps land
@@ -211,7 +235,7 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
                     value = fn(*args, **kwargs)
             finally:
                 attachments.close()
-            result_q.put(("done", tid, shm_plane.export_oneshot(value, cfg.shm_threshold)))
+            result_q.put(("done", tid, shm_plane.export_oneshot(value, cfg.shm_threshold, oneshot_names)))
         except CancelledError as exc:
             if recorder:
                 recorder.event("cancel", name, ts=now(), task_id=tid, worker=cfg.wid,
@@ -270,6 +294,7 @@ class ProcessPool(Executor):
         self.trace = resolve_recorder(trace)
         self.faults = resolve_faults(faults)
         self._arena = shm_plane.ShmArena(shm_threshold)
+        self._oneshot_prefix = f"psm_{secrets.token_hex(4)}_"
 
         self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
@@ -279,6 +304,10 @@ class ProcessPool(Executor):
         self._closing = False
         self._closed = False
         self._broken = False
+        # Tasks a worker death reclaimed: their arguments stay exported
+        # until shutdown() has joined the workers, because a surviving
+        # worker may still be reading those segments.
+        self._reclaimed: list[_Task] = []
         self._tid_counter = itertools.count(1)
         self._critical_locks: dict[str, threading.RLock] = {}
 
@@ -311,6 +340,7 @@ class ProcessPool(Executor):
                 shard_file=shard_path(self._shard_dir, wid) if self._shard_dir else None,
                 wall_epoch=wall_epoch,
                 shm_threshold=shm_threshold,
+                oneshot_prefix=f"{self._oneshot_prefix}{wid}_",
             )
             proc = ctx.Process(
                 target=_worker_main,
@@ -375,6 +405,7 @@ class ProcessPool(Executor):
                     if task is None:
                         continue
                     reclaimed += 1
+                    self._reclaimed.append(task)
                     if not task.future.done():
                         try:
                             task.future.set_exception(why)
@@ -560,7 +591,7 @@ class ProcessPool(Executor):
                 with self._cond:
                     self._inflight -= 1
                     self._cond.notify_all()
-            # Not at the next popleft: an array dying there would free
+            # Not at the next popleft: an array dying there would park
             # its segment while this thread holds ``_cond``.
             del task
 
@@ -611,7 +642,7 @@ class ProcessPool(Executor):
                     self._inflight -= 1
                     self._cond.notify_all()
             # Now, not at the next message: an exported array nobody
-            # else holds frees its segment here.
+            # else holds parks its segment here.
             del task
 
     # -- deadline reaper (parent side, pending futures only) -----------------
@@ -685,7 +716,10 @@ class ProcessPool(Executor):
 
         ``drain=False`` strands parent-side queued tasks with
         :class:`ExecutorShutdown` (tasks already shipped to workers still
-        finish — the in-flight bound keeps that set small).
+        finish — the in-flight bound keeps that set small).  Once the
+        workers are gone, every segment of the pool is freed: the
+        arena's, and any result segment a killed worker left behind
+        (swept by name prefix where ``/dev/shm`` lists them).
         """
         with self._cond:
             if self._closed:
@@ -721,6 +755,7 @@ class ProcessPool(Executor):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
+        self._reclaimed.clear()
         # Anything still incomplete after the workers are gone (a crashed
         # worker's task) must not leave waiters hanging.
         for tid, task in list(self._shipped.items()):
@@ -735,6 +770,8 @@ class ProcessPool(Executor):
 
         self._result_q.put(None)
         self._collector.join(timeout=timeout)
+        # After the collector: it unlinks every result it consumes.
+        _sweep_segments(self._oneshot_prefix)
         with self._deadline_cond:
             self._reaper_stop = True
             self._deadline_cond.notify_all()

@@ -28,12 +28,21 @@ process that touched them exits — fatal for segments whose lifetime is
 managed across the parent/worker boundary.  :func:`open_untracked`
 opens segments untracked, so every lifetime is explicit:
 
-* an argument segment lives exactly as long as the array it was
-  exported from: the arena unlinks it on whichever thread that array
-  dies, and :meth:`ShmArena.close` frees the ones still alive.  The pool
-  holds a task's arguments until its result is in, and a worker closes
-  its attachments before it replies, so a segment is never freed under
-  a task whose result is still wanted;
+* an argument segment serves its array for as long as that array
+  lives.  When the array dies, the arena *parks* the segment, still
+  mapped in the parent, and a later export of a similar size copies
+  into it: copying into pages that already exist is several times
+  cheaper than faulting in fresh ones.  :class:`ShmArena` states the
+  fit rule and the bound on what it keeps.  The pool holds a task's
+  arguments until its result is in, and a worker closes its
+  attachments before it replies, so a segment is never refilled under
+  a task whose result is still wanted.  A view handed to a task body
+  is therefore valid only for that task: the next one may see other
+  data in the same segment;
+* every argument segment is freed exactly once, by whichever comes
+  first of :meth:`ShmArena.close`, its array dying after ``close``,
+  and the arena's exit hook (the arena collected, or the interpreter
+  exiting without ``close``);
 * a one-shot result segment is unlinked by the parent that consumes it,
   also when the result is dropped because its task was already
   resolved elsewhere.
@@ -45,7 +54,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -68,7 +77,7 @@ DEFAULT_THRESHOLD = 32 * 1024
 
 @dataclass(frozen=True)
 class ShmRef:
-    """A picklable handle to an ndarray parked in a named shm segment."""
+    """A picklable handle to an ndarray held in a named shm segment."""
 
     name: str
     shape: tuple[int, ...]
@@ -134,57 +143,156 @@ def _free(shm: Any) -> None:
         pass
 
 
-def _release(exports: dict, key: int, shm: Any) -> None:
-    """``weakref`` callback run as an exported array dies.
+#: A parked segment serves an array only if it holds at most this many
+#: times the array's bytes, so a reused segment wastes at most half.
+_FIT_RATIO = 2
+#: Held segment bytes (live and parked) never exceed this many times the
+#: most bytes the arena's live exports have held at once.
+_HELD_RATIO = 2
 
-    The entry goes first, before the id can be reused by a new array
-    (the dying array's memory is only released after its callbacks), so
-    a reused id never hits a stale cache entry.
+
+class _Segments:
+    """What an arena shares with its release callbacks and exit hook.
+
+    Never the arena itself, so an arena whose exported arrays still
+    live can be collected.  The callbacks run on any thread, GC
+    included, so both dicts are only touched with single GIL-atomic
+    operations and no lock.
     """
-    exports.pop(key, None)
-    _free(shm)
+
+    def __init__(self) -> None:
+        self.exports: dict[int, tuple[ShmRef, Any, weakref.finalize]] = {}
+        self.parked: dict[str, Any] = {}  # name -> segment, still mapped
+        self.closed = False
+
+    def release(self, key: int, shm: Any) -> None:
+        """``weakref`` callback run as an exported array dies: park its segment.
+
+        The entry goes first, before the id can be reused by a new array
+        (the dying array's memory is only released after its callbacks),
+        so a reused id never hits a stale cache entry.  Parking comes
+        before the ``closed`` check, and :meth:`close` sets ``closed``
+        before it drains, so a segment parked during a close is freed
+        by exactly one of the two.
+        """
+        self.exports.pop(key, None)
+        self.parked[shm.name] = shm
+        if self.closed:
+            self.unpark(shm.name)
+
+    def unpark(self, name: str) -> int:
+        """Free one parked segment unless someone took it; its bytes, or 0."""
+        shm = self.parked.pop(name, None)
+        if shm is None:
+            return 0
+        _free(shm)
+        return shm.size
+
+    def close(self) -> None:
+        """Free every parked segment; arrays that die later free theirs."""
+        self.closed = True
+        while True:
+            try:
+                _name, shm = self.parked.popitem()
+            except KeyError:
+                return
+            _free(shm)
+
+
+def _size(shm: Any) -> int:
+    return shm.size
 
 
 class ShmArena:
     """Parent-side export cache: one segment per distinct *live* array.
 
     Keyed by ``id(array)``.  Each export carries a ``weakref.finalize``
-    on its array that drops the entry and frees the segment the moment
-    the array dies, on whichever thread that happens — so a reused id
-    can never be a stale cache hit, and a long-lived pool holds only the
-    segments of arrays someone still references.  Every array shared by
-    several tasks is still copied once, for as long as it lives.
+    on its array that drops the entry the moment the array dies, on
+    whichever thread that happens, so a reused id can never be a stale
+    cache hit.  Every array shared by several tasks is still copied
+    once, for as long as it lives.
 
-    The callback can fire on any thread, including inside this module
-    while it holds ``_open_lock``, so ``_exports`` is only touched with
-    single GIL-atomic dict operations and no lock.  :meth:`close` frees
-    each remaining segment once: whichever of ``close`` and the dying
-    array's callback claims the finalizer first does the free.
+    A dead array's segment is *parked*: it stays mapped in the parent,
+    and the next export copies into it instead of paying for fresh
+    pages.  The rule, with no setting:
+
+    * **fit** — an array of ``n`` bytes goes into the smallest parked
+      segment of ``n`` to ``2 * n`` bytes, the most recently
+      parked among equals;
+    * **miss** — with none, a new segment is created and the largest
+      parked segment smaller than ``n`` is freed: slots grow in size
+      rather than multiply;
+    * **bound** — on a miss the largest parked segments are also freed
+      while the held bytes, live and parked, exceed twice the most bytes
+      live exports have held at once (as measured at each miss).  Only
+      a miss adds bytes, so the arena never holds more than twice the
+      peak of its live exports.
+
+    Each segment is freed exactly once: by :meth:`close` (live and
+    parked alike), by its array dying after ``close``, or by the exit
+    hook that runs when the arena is collected or the interpreter exits
+    without ``close``.  The release callbacks can fire on any thread,
+    including inside this module while it holds ``_open_lock``, so the
+    shared dicts are only touched with single GIL-atomic operations.
+    Call :meth:`export` from one thread at a time.
     """
 
     def __init__(self, threshold: int = DEFAULT_THRESHOLD) -> None:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
-        self._exports: dict[int, tuple[ShmRef, Any, weakref.finalize]] = {}
+        self._state = _Segments()
+        self._closer = weakref.finalize(self, self._state.close)
+        self._peak_live = 0  # most segment bytes live exports held at once
         self.bytes_exported = 0  # cumulative: counts freed exports too
 
     def export(self, arr: np.ndarray) -> ShmRef:
-        """Park ``arr`` in a segment (cached while it lives); returns its handle."""
+        """Copy ``arr`` into a segment (cached while it lives); returns its handle."""
         key = id(arr)
-        cached = self._exports.get(key)
+        cached = self._state.exports.get(key)
         if cached is not None:
             return cached[0]
         data = np.ascontiguousarray(arr)
-        shm = open_untracked(create=True, size=max(1, data.nbytes))
+        nbytes = max(1, data.nbytes)
+        shm = self._reuse(nbytes) or self._create(nbytes)
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
         view[...] = data
+        del view
         ref = ShmRef(name=shm.name, shape=tuple(data.shape), dtype=str(data.dtype))
         # Watch ``arr`` (not ``data``): its id is the cache key.
-        finalizer = weakref.finalize(arr, _release, self._exports, key, shm)
-        self._exports[key] = (ref, shm, finalizer)
+        finalizer = weakref.finalize(arr, self._state.release, key, shm)
+        self._state.exports[key] = (ref, shm, finalizer)
         self.bytes_exported += data.nbytes
         return ref
+
+    def _reuse(self, nbytes: int) -> Any:
+        """Take the parked segment that fits ``nbytes`` best, or None."""
+        fits = [
+            shm
+            for shm in reversed(self._state.parked.copy().values())
+            if nbytes <= shm.size <= _FIT_RATIO * nbytes
+        ]
+        if not fits:
+            return None
+        # None if close() took it meanwhile: then this is a miss.
+        return self._state.parked.pop(min(fits, key=_size).name, None)
+
+    def _create(self, nbytes: int) -> Any:
+        """A new segment for a miss, freeing parked ones as the rule says."""
+        state = self._state
+        shm = open_untracked(create=True, size=nbytes)
+        too_small = [p for p in state.parked.copy().values() if p.size < nbytes]
+        if too_small:
+            state.unpark(max(too_small, key=_size).name)
+        live = shm.size + sum(entry[1].size for entry in state.exports.copy().values())
+        self._peak_live = max(self._peak_live, live)
+        parked = sorted(state.parked.copy().values(), key=_size, reverse=True)
+        held = live + sum(p.size for p in parked)
+        for p in parked:
+            if held <= _HELD_RATIO * self._peak_live:
+                break
+            held -= state.unpark(p.name)
+        return shm
 
     def maybe_export(self, obj: Any) -> Any:
         """``obj`` itself, or its :class:`ShmRef` when it is a big array."""
@@ -194,23 +302,25 @@ class ShmArena:
 
     @property
     def segments(self) -> int:
-        """Segments held now: one per live exported array."""
-        return len(self._exports)
+        """Segments serving live exported arrays now (parked ones not counted)."""
+        return len(self._state.exports)
 
     def close(self) -> None:
-        """Free every segment still held; idempotent.
+        """Free every segment still held, live or parked; idempotent.
 
         Safe once workers have exited (worker mappings are closed per
-        task).  Arrays that die afterwards free nothing more.
+        task).  An array that dies afterwards frees what it still holds.
         """
+        self._state.closed = True
         while True:
             try:
-                _key, (_ref, shm, finalizer) = self._exports.popitem()
+                _key, (_ref, shm, finalizer) = self._state.exports.popitem()
             except KeyError:
-                return
+                break
             if finalizer.detach() is not None:
                 _free(shm)
             # else the array is dying right now and its callback frees
+        self._closer()
 
     def __repr__(self) -> str:
         return f"ShmArena(segments={self.segments}, bytes={self.bytes_exported})"
@@ -275,19 +385,20 @@ def decode_payload(obj: Any, attachments: ShmAttachments) -> Any:
     return obj
 
 
-def export_oneshot(obj: Any, threshold: int = DEFAULT_THRESHOLD) -> Any:
+def export_oneshot(obj: Any, threshold: int, names: Iterator[str]) -> Any:
     """Producer side of result transport: big arrays → one-shot segments.
 
-    The producer (a worker returning a result) creates the segment,
-    copies the array in and closes its own mapping; the segment persists
-    until the consumer unlinks it.  Small/non-array results are returned
-    unchanged and ride the pickle path.
+    The producer (a worker returning a result) creates each segment
+    under the next name from ``names``, copies the array in and closes
+    its own mapping; the segment persists until the consumer unlinks
+    it.  Small/non-array results are returned unchanged and ride the
+    pickle path.
     """
     if isinstance(obj, np.ndarray):
         if obj.nbytes < threshold:
             return obj
         data = np.ascontiguousarray(obj)
-        shm = open_untracked(create=True, size=max(1, data.nbytes))
+        shm = open_untracked(name=next(names), create=True, size=max(1, data.nbytes))
         view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
         view[...] = data
         del view
@@ -295,11 +406,11 @@ def export_oneshot(obj: Any, threshold: int = DEFAULT_THRESHOLD) -> Any:
         shm.close()
         return ref
     if isinstance(obj, tuple):
-        return tuple(export_oneshot(item, threshold) for item in obj)
+        return tuple(export_oneshot(item, threshold, names) for item in obj)
     if isinstance(obj, list):
-        return [export_oneshot(item, threshold) for item in obj]
+        return [export_oneshot(item, threshold, names) for item in obj]
     if isinstance(obj, dict):
-        return {key: export_oneshot(value, threshold) for key, value in obj.items()}
+        return {key: export_oneshot(value, threshold, names) for key, value in obj.items()}
     return obj
 
 

@@ -23,6 +23,25 @@ def big_result_after(seconds: float, side: int) -> np.ndarray:
     return np.ones((side, side))
 
 
+class ExitOnPickle:
+    """Kills the process that tries to pickle it, with exit code 3."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+def big_result_then_exit_on_pickle(side: int) -> tuple[np.ndarray, ExitOnPickle]:
+    """A result whose array goes out through a one-shot segment, and
+    whose second item kills the worker while the reply is pickled."""
+    return np.ones((side, side)), ExitOnPickle()
+
+
+def sum_after(seconds: float, arr: np.ndarray) -> float:
+    """Sleep, then read the argument."""
+    time.sleep(seconds)
+    return float(arr.sum())
+
+
 def thread_env() -> dict[str, str | None]:
     """The native-thread variables as this worker process sees them."""
     return {var: os.environ.get(var) for var in THREAD_VARS}
