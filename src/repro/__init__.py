@@ -21,7 +21,7 @@ course runs on:
   schedule, doodle-poll allocation, assessment, Likert survey, and a
   full semester simulation; and
 * **observability** (:mod:`repro.obs`) — tracing and metrics for every
-  backend (``python -m repro trace <experiment>`` writes a Chrome
+  backend (``python -m repro analyze <experiment>`` writes a Chrome
   trace_event timeline).
 
 Quickstart::

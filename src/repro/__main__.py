@@ -5,13 +5,11 @@ Usage::
     python -m repro list                     # every registered experiment
     python -m repro run fig2                 # print one experiment's tables
     python -m repro run all -o reports/      # run everything, save reports
-    python -m repro trace proj2              # run under tracing, write Chrome JSON
-    python -m repro analyze abl_sched        # work/span analytics + HTML report
+    python -m repro analyze abl_sched        # work/span analytics, HTML report, Chrome trace
     python -m repro compare abl_sched        # gate a run against its pinned baseline
     python -m repro chaos proj10             # run one experiment under injected faults
-    python -m repro top proj2                # live TTY dashboard while it runs
-    python -m repro flame proj6 --repeat 200 # sampling profiler + flamegraph
-    python -m repro serve overload           # seeded traffic through the serving gateway
+    python -m repro flame proj6 --repeat 200 # sampling profiler + flamegraph (--serve: live /metrics)
+    python -m repro serve overload --slo     # seeded traffic through the serving gateway + SLO gate
     python -m repro runs list                # stored run history, per experiment
     python -m repro runs timeline pool_micro # cross-run trajectory + change-points
     python -m repro webdemo out_dir/         # generate the race-condition site
@@ -60,25 +58,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_scope(args: argparse.Namespace):
-    """Context manager realising the shared ``--backend``/``--cores`` flags.
-
-    Installs :func:`repro.executor.backend_override` so every
-    *redirectable* ``create()`` call the experiment makes (inline,
-    threads, processes — sim stays sim, its virtual clock is the point)
-    lands on the chosen backend / core count.  The override is
-    thread-local, so commands that run the experiment on a worker thread
-    (``top``) must enter this scope on that thread.
-    """
-    from contextlib import nullcontext
-
-    kind = getattr(args, "backend", None)
-    cores = getattr(args, "cores", None)
-    if kind is None and cores is None:
-        return nullcontext()
-    from repro.executor import backend_override
-
-    return backend_override(kind=kind, cores=cores)
+def _usage_error(message: object) -> int:
+    """Print why a flag value was rejected (usually the library's own
+    ``ValueError``); returns the usage-error exit code, 2."""
+    print(message, file=sys.stderr)
+    return 2
 
 
 def _require_experiment(exp_id: str):
@@ -135,39 +119,6 @@ def _record_run(args: argparse.Namespace, record: Any, virtual: bool = False, at
         print(f"warning: run-history record failed: {exc}", file=sys.stderr)
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment under an ambient trace recorder.
-
-    Every executor the experiment constructs (however deep) picks the
-    recorder up via :func:`repro.obs.use`, so no experiment code needs a
-    ``trace=`` parameter.  The span/event timeline is written as Chrome
-    ``trace_event`` JSON — load it in chrome://tracing or Perfetto — and
-    the metrics snapshot is printed to stderr.
-    """
-    from repro.obs import ChromeTraceSink, TraceRecorder, use
-
-    exp = _require_experiment(args.experiment)
-    if exp is None:
-        return 2
-    out_path = Path(args.output or f"trace_{exp.exp_id}.json")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    recorder = TraceRecorder()
-    with use(recorder):
-        result = exp()
-    events = recorder.events()
-    ChromeTraceSink.write_events(events, out_path)
-    print(result.render())
-    metrics_block = result.render_metrics()
-    if metrics_block:
-        print(file=sys.stderr)
-        print(metrics_block, file=sys.stderr)
-    print(
-        f"\n{len(events)} trace events -> {out_path} (open in chrome://tracing or Perfetto)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _pinned_baseline(args: argparse.Namespace, exp_id: str, pin_command: str):
     """The latest pin for ``exp_id`` in the run-history store, or
     ``None`` after printing how to make one (callers exit 2)."""
@@ -198,38 +149,53 @@ def _gate_record(record: Any, comparison: Any) -> Any:
     )
 
 
-def _run_traced(exp, max_events: int | None = None):
-    """Run one (already looked-up) experiment under an ambient recorder;
-    returns ``(recorder, result)``."""
-    from repro.obs import TraceRecorder, use
+def _run_analyzed(exp, recorder: Any, plan: Any = None):
+    """Run one experiment under ``recorder`` (and the fault plan
+    ``plan``), then print its report and its trace analysis.
 
-    recorder = TraceRecorder(max_events=max_events)
-    with use(recorder):
+    The traced-run path ``analyze`` and ``chaos`` share: returns the
+    result, or ``None`` after an error line when the run produced no
+    analysis (callers exit 1).
+    """
+    from contextlib import nullcontext
+
+    from repro.obs import use
+    from repro.resilience import use_faults
+
+    with use(recorder), (use_faults(plan) if plan is not None else nullcontext()):
         result = exp()
-    return recorder, result
+    if result.analysis is None:
+        print("experiment produced no trace analysis", file=sys.stderr)
+        return None
+    print(result.render())
+    print()
+    print(result.render_analysis(), end="")
+    return result
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Run one experiment traced, print the analysis, write the HTML report.
+    """Run one experiment traced; print the analysis, write the HTML
+    report and the Chrome trace.
 
     The terminal output is the experiment's own report followed by the
-    work/span + scheduler-health summary; the self-contained HTML report
-    (SVG Gantt, utilization bars) lands in ``-o`` (default
-    ``benchmarks/reports/``).
+    work/span + scheduler-health summary.  ``-o`` (default
+    ``benchmarks/reports/``) receives the self-contained HTML report
+    (SVG Gantt, utilization bars) as ``analysis_<exp>.html`` and every
+    recorded event as Chrome ``trace_event`` JSON, ``trace_<exp>.json``
+    (open it in chrome://tracing or Perfetto).
     """
-    from repro.obs import render_html
+    from repro.obs import TraceRecorder, render_html, write_chrome_trace
 
     exp = _require_experiment(args.experiment)
     if exp is None:
         return 2
-    recorder, result = _run_traced(exp, max_events=args.max_events)
-    analysis = result.analysis
-    if analysis is None:
-        print("experiment produced no trace analysis", file=sys.stderr)
+    try:
+        recorder = TraceRecorder(max_events=args.max_events)
+    except ValueError as exc:
+        return _usage_error(exc)
+    result = _run_analyzed(exp, recorder)
+    if result is None:
         return 1
-    print(result.render())
-    print()
-    print(result.render_analysis(), end="")
     if recorder.dropped_events:
         print(
             f"warning: {recorder.dropped_events} events dropped (raise --max-events)",
@@ -238,8 +204,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.output or "benchmarks/reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     html_path = out_dir / f"analysis_{args.experiment}.html"
-    html_path.write_text(render_html(analysis, title=f"{args.experiment} — trace analysis"))
+    html_path.write_text(render_html(result.analysis, title=f"{args.experiment} — trace analysis"))
     print(f"HTML report -> {html_path}", file=sys.stderr)
+    events = recorder.events()
+    trace_path = write_chrome_trace(events, out_dir / f"trace_{args.experiment}.json")
+    print(
+        f"{len(events)} trace events -> {trace_path} (open in chrome://tracing or Perfetto)",
+        file=sys.stderr,
+    )
     from repro.obs.store import RunRecord
 
     _record_run(
@@ -266,7 +238,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     gated metric with its baseline), 2 = unknown experiment or no pinned
     baseline for it.
     """
-    from repro.obs import compare_to_baseline
+    from repro.obs import TraceRecorder, compare_to_baseline, use
     from repro.obs.store import RunRecord
 
     exp = _require_experiment(args.experiment)
@@ -287,7 +259,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print("perf experiment attached no metrics", file=sys.stderr)
             return 1
     else:
-        _, result = _run_traced(exp)
+        with use(TraceRecorder()):
+            result = exp()
         if result.analysis is None:
             print("experiment produced no trace analysis", file=sys.stderr)
             return 1
@@ -324,28 +297,26 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     turns it into a gate: exit 1 unless every named lifecycle event kind
     occurred at least once.
     """
-    from repro.obs import TraceRecorder, use
-    from repro.resilience import FaultPlan, use_faults
+    from repro.obs import TraceRecorder
+    from repro.resilience import FaultPlan
 
     exp = _require_experiment(args.experiment)
     if exp is None:
         return 2
-    plan = FaultPlan(
-        seed=args.seed,
-        failure_rate=args.failure_rate,
-        task_failure_rate=args.task_failure_rate,
-        latency_spike_rate=args.latency_spike_rate,
-    )
-    recorder = TraceRecorder(max_events=args.max_events)
-    with use(recorder), use_faults(plan):
-        result = exp()
-    analysis = result.analysis
-    if analysis is None:
-        print("experiment produced no trace analysis", file=sys.stderr)
+    try:
+        plan = FaultPlan(
+            seed=args.seed,
+            failure_rate=args.failure_rate,
+            task_failure_rate=args.task_failure_rate,
+            latency_spike_rate=args.latency_spike_rate,
+        )
+        recorder = TraceRecorder(max_events=args.max_events)
+    except ValueError as exc:
+        return _usage_error(exc)
+    result = _run_analyzed(exp, recorder, plan)
+    if result is None:
         return 1
-    print(result.render())
-    print()
-    print(result.render_analysis(), end="")
+    analysis = result.analysis
     print(
         f"\nchaos plan: seed={plan.seed} failure_rate={plan.failure_rate} "
         f"task_failure_rate={plan.task_failure_rate} "
@@ -364,12 +335,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         missing = []
         for kind in (k.strip() for k in args.expect.split(",") if k.strip()):
             if kind not in observed:
-                print(
-                    f"--expect: unknown lifecycle kind {kind!r} "
-                    f"(known: {sorted(observed)})",
-                    file=sys.stderr,
+                return _usage_error(
+                    f"--expect: unknown lifecycle kind {kind!r} (known: {sorted(observed)})"
                 )
-                return 2
             if observed[kind] == 0:
                 missing.append(kind)
         if missing:
@@ -427,8 +395,13 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     exp = _require_experiment(args.experiment)
     if exp is None:
         return 2
-    recorder = TraceRecorder(max_events=args.max_events, track_overhead=True)
-    profiler = SamplingProfiler(interval=args.interval)
+    if args.repeat < 1:
+        return _usage_error(f"--repeat must be >= 1, got {args.repeat}")
+    try:
+        recorder = TraceRecorder(max_events=args.max_events, track_overhead=True)
+        profiler = SamplingProfiler(interval=args.interval)
+    except ValueError as exc:
+        return _usage_error(exc)
     server = None
     if args.serve or args.scrape_out:
         server = MetricsServer(metrics=recorder.metrics, profiler=profiler, port=args.port).start()
@@ -439,14 +412,8 @@ def _cmd_flame(args: argparse.Namespace) -> int:
             with handle.task(f"experiment:{exp.exp_id}"):
                 for _ in range(args.repeat):
                     result = exp()
-        if args.scrape_out and server is not None:
-            import urllib.request
-
-            body = urllib.request.urlopen(server.url, timeout=10).read().decode("utf-8")
-            scrape_path = Path(args.scrape_out)
-            scrape_path.parent.mkdir(parents=True, exist_ok=True)
-            scrape_path.write_text(body)
-            print(f"/metrics scrape -> {scrape_path}", file=sys.stderr)
+        if args.scrape_out:
+            _save_scrape(server.url, args.scrape_out)
     finally:
         REGISTRY.unregister(handle)
         if server is not None:
@@ -470,61 +437,15 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live TTY dashboard: repaint worker/queue/throughput state while the
-    experiment runs on a background thread.
+def _save_scrape(url: str, path: str) -> None:
+    """Save one ``/metrics`` scrape of ``url``, taken over HTTP, to ``path``."""
+    import urllib.request
 
-    On a terminal each frame repaints in place; when piped, frames
-    append (so tests and CI logs stay readable).  ``--frames`` bounds
-    the redraw count, ``--serve`` additionally exposes ``/metrics``.
-    """
-    import threading
-
-    from repro.obs import TraceRecorder, use
-    from repro.obs.live import REGISTRY, Dashboard, MetricsServer
-
-    exp = _require_experiment(args.experiment)
-    if exp is None:
-        return 2
-    recorder = TraceRecorder(max_events=args.max_events, track_overhead=True)
-    server = None
-    if args.serve:
-        server = MetricsServer(metrics=recorder.metrics, port=args.port).start()
-        print(f"serving live metrics at {server.url}", file=sys.stderr)
-    box: dict[str, object] = {}
-
-    def runner() -> None:
-        handle = REGISTRY.register("driver", role="driver")
-        try:
-            # the override is thread-local: re-enter it on this thread
-            with _backend_scope(args), use(recorder):
-                with handle.task(f"experiment:{exp.exp_id}"):
-                    for _ in range(args.repeat):
-                        box["result"] = exp()
-        except BaseException as exc:  # noqa: BLE001 - reported after the join
-            box["error"] = exc
-        finally:
-            REGISTRY.unregister(handle)
-
-    thread = threading.Thread(target=runner, name="top-driver", daemon=True)
-    dashboard = Dashboard(metrics=recorder.metrics)
-    thread.start()
-    frames = dashboard.run(
-        sys.stdout,
-        done=lambda: not thread.is_alive(),
-        interval=args.interval,
-        max_frames=args.frames,
-        clear=sys.stdout.isatty(),
-    )
-    thread.join()
-    if server is not None:
-        server.stop()
-    error = box.get("error")
-    if error is not None:
-        print(f"experiment failed: {error!r}", file=sys.stderr)
-        return 1
-    print(f"run complete ({frames} frames)", file=sys.stderr)
-    return 0
+    body = urllib.request.urlopen(url, timeout=10).read().decode("utf-8")
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(body)
+    print(f"/metrics scrape -> {out}", file=sys.stderr)
 
 
 def _parse_objectives(text: str | None):
@@ -551,19 +472,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     ``--slo`` (or ``--objectives``) turns on request-scoped stage
     tracing, prints the latency decomposition and the SLO verdict, and
-    exits 3 when a declared objective is violated; ``--waterfall`` also
+    exits 3 when a declared objective is violated (stderr says ``SLO
+    gate passed`` when none is); ``--waterfall`` also
     writes the slowest-requests HTML view.  Exit codes: 0 ok, 1
     baseline regression, 2 usage error, 3 SLO violation.
     """
     from contextlib import nullcontext
 
-    from repro.serve.loadgen import run_serve
+    from repro.executor.factory import ExecutorConfig, get_backend
+    from repro.obs import evaluate_slo
+    from repro.serve.loadgen import LoadSpec, run_serve
 
     try:
         objectives = _parse_objectives(args.objectives)
+        # Build what the run builds from these flags (the trace spec, the
+        # executor config, an empty SLO evaluation), so a value the
+        # library rejects exits 2 before the run starts.
+        LoadSpec(args.pattern, requests=args.requests, seed=args.seed, base_rate=args.rate)
+        single_core = get_backend(args.backend).single_core
+        ExecutorConfig(args.backend, cores=None if single_core else args.cores)
+        evaluate_slo(None, (), window=args.slo_window)
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     slo_on = args.slo or objectives is not None
     rtrace_on = slo_on or bool(args.waterfall)
     # tracing changes the exported metric set, so traced runs gate
@@ -600,14 +530,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 objectives=objectives,
                 slo_window=args.slo_window,
             )
-        if args.scrape_out and server is not None:
-            import urllib.request
-
-            body = urllib.request.urlopen(server.url, timeout=10).read().decode("utf-8")
-            scrape_path = Path(args.scrape_out)
-            scrape_path.parent.mkdir(parents=True, exist_ok=True)
-            scrape_path.write_text(body)
-            print(f"/metrics scrape -> {scrape_path}", file=sys.stderr)
+        if args.scrape_out:
+            _save_scrape(server.url, args.scrape_out)
     finally:
         if server is not None:
             server.stop()
@@ -648,13 +572,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(comparison.render())
         if not comparison.ok:
             rc = 1
-    if slo_on and report.slo is not None and not report.slo.passed:
-        failed = [r.objective.label for r in report.slo.results if not r.passed]
-        print(f"SLO gate FAILED: {', '.join(failed)}", file=sys.stderr)
-        if rc == 0:
-            rc = 3
-    from repro.executor.factory import get_backend
-
+    if slo_on and report.slo is not None:
+        if report.slo.passed:
+            print("SLO gate passed", file=sys.stderr)
+        else:
+            failed = [r.objective.label for r in report.slo.results if not r.passed]
+            print(f"SLO gate FAILED: {', '.join(failed)}", file=sys.stderr)
+            if rc == 0:
+                rc = 3
     _record_run(
         args,
         _gate_record(report.run_record(exp_id), comparison),
@@ -662,50 +587,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         at=report.duration,
     )
     return rc
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    """Evaluate declared SLOs over one traced serve run (verdict only).
-
-    The focused form of ``serve --slo``: run the seeded pattern with
-    request tracing, print the SLO verdict table and the burn-rate
-    summary, exit 3 on violation.  Deterministic under sim — two runs
-    with the same flags produce byte-identical output.
-    """
-    from repro.serve.loadgen import run_serve
-
-    try:
-        objectives = _parse_objectives(args.objectives)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    report = run_serve(
-        args.pattern,
-        backend=args.backend,
-        cores=args.cores,
-        requests=args.requests,
-        seed=args.seed,
-        base_rate=args.rate,
-        time_scale=args.time_scale,
-        rtrace=True,
-        objectives=objectives,
-        slo_window=args.slo_window,
-    )
-    verdict = report.slo
-    assert verdict is not None  # rtrace=True always evaluates
-    print(verdict.table().render())
-    dom = report.dominant_stage()
-    if dom is not None:
-        print(
-            f"dominant stage: {dom.stage} "
-            f"(p99 {dom.p99:.6f}s, {dom.share:.1%} of traced time)"
-        )
-    if not verdict.passed:
-        failed = [r.objective.label for r in verdict.results if not r.passed]
-        print(f"SLO gate FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 3
-    print("SLO gate passed", file=sys.stderr)
-    return 0
 
 
 def _cmd_webdemo(args: argparse.Namespace) -> int:
@@ -754,8 +635,6 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
         )
     print(table.render())
     if args.scrape_out:
-        import urllib.request
-
         from repro.obs import Metrics
         from repro.obs.live import MetricsServer
         from repro.obs.store import emit_metrics
@@ -764,13 +643,9 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
         emit_metrics(store, metrics)
         server = MetricsServer(metrics=metrics, port=args.port).start()
         try:
-            body = urllib.request.urlopen(server.url, timeout=10).read().decode("utf-8")
+            _save_scrape(server.url, args.scrape_out)
         finally:
             server.stop()
-        scrape_path = Path(args.scrape_out)
-        scrape_path.parent.mkdir(parents=True, exist_ok=True)
-        scrape_path.write_text(body)
-        print(f"/metrics scrape -> {scrape_path}", file=sys.stderr)
     return 0
 
 
@@ -798,8 +673,7 @@ def _cmd_runs_query(args: argparse.Namespace) -> int:
             limit=args.limit,
         )
     except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if not records:
         print("no matching records", file=sys.stderr)
         return 0
@@ -807,8 +681,7 @@ def _cmd_runs_query(args: argparse.Namespace) -> int:
         try:
             rows = aggregate(records, args.metric, reduce=args.reduce, group_by=args.group_by)
         except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         table = Table(
             [args.group_by or "group", "n", args.reduce],
             title=f"{args.metric} ({len(records)} record(s))",
@@ -968,18 +841,9 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("-o", "--output", help="directory to also write reports into")
     run.set_defaults(fn=_cmd_run)
 
-    trace = _experiment_command(
-        sub, "trace", _cmd_trace,
-        "run one experiment under tracing and write Chrome trace_event JSON",
-        backend=True,
-    )
-    trace.add_argument(
-        "-o", "--output", help="trace file path (default: trace_<experiment>.json)"
-    )
-
     analyze = _experiment_command(
         sub, "analyze", _cmd_analyze,
-        "run one experiment traced: work/span analytics + HTML report",
+        "run one experiment traced: work/span analytics, HTML report and Chrome trace",
         max_events=True,
         backend=True,
     )
@@ -1051,28 +915,6 @@ def main(argv: list[str] | None = None) -> int:
     flame.add_argument(
         "--scrape-out", help="save one /metrics scrape (taken over HTTP) to this path"
     )
-
-    top = _experiment_command(
-        sub, "top", _cmd_top,
-        "live dashboard: worker states, queue depth and throughput while one experiment runs",
-        max_events=True,
-        backend=True,
-    )
-    top.add_argument(
-        "--interval", type=float, default=0.25,
-        help="seconds between dashboard repaints (default: 0.25)",
-    )
-    top.add_argument(
-        "--frames", type=int, default=None, help="stop after N frames (default: until the run ends)"
-    )
-    top.add_argument(
-        "--repeat", type=int, default=1,
-        help="run the experiment N times so short runs stay watchable (default: 1)",
-    )
-    top.add_argument(
-        "--serve", action="store_true", help="also serve /metrics + /healthz while running"
-    )
-    top.add_argument("--port", type=int, default=0, help="metrics port (default: ephemeral)")
 
     serve = sub.add_parser(
         "serve",
@@ -1146,42 +988,6 @@ def main(argv: list[str] | None = None) -> int:
     # --backend here names the executor to build, not the redirect
     # override — sim is a first-class (and the default) choice.
     serve.set_defaults(fn=_cmd_serve, direct_backend=True)
-
-    slo = sub.add_parser(
-        "slo",
-        help="evaluate declared SLOs over one traced serve run (exit 3 on violation)",
-    )
-    slo.add_argument(
-        "pattern", choices=("steady", "bursty", "diurnal", "overload"),
-        help="traffic shape of the seeded arrival trace",
-    )
-    slo.add_argument(
-        "--backend", default="sim",
-        help="executor kind to serve on (default: sim — the deterministic golden run)",
-    )
-    slo.add_argument("--cores", type=int, default=4, help="worker/core count (default: 4)")
-    slo.add_argument(
-        "--requests", type=int, default=100_000,
-        help="arrivals to generate (default: 100000)",
-    )
-    slo.add_argument("--seed", type=int, default=2014, help="trace seed (default: 2014)")
-    slo.add_argument(
-        "--rate", type=float, default=2_000.0,
-        help="base offered rate in requests/s (default: 2000)",
-    )
-    slo.add_argument(
-        "--time-scale", type=float, default=0.0,
-        help="real backends: scale factor on inter-arrival sleeps (default: 0)",
-    )
-    slo.add_argument(
-        "--objectives",
-        help="comma-separated objectives like 'p99<=0.25' (default: built-in set)",
-    )
-    slo.add_argument(
-        "--slo-window", type=float, default=1.0,
-        help="burn-rate window width in (virtual) seconds (default: 1.0)",
-    )
-    slo.set_defaults(fn=_cmd_slo, direct_backend=True)
 
     runs = sub.add_parser(
         "runs",
@@ -1278,23 +1084,24 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("topics", help="print the ten project topics").set_defaults(fn=_cmd_topics)
 
     args = parser.parse_args(argv)
-    if getattr(args, "direct_backend", False):
+    kind, cores = getattr(args, "backend", None), getattr(args, "cores", None)
+    if getattr(args, "direct_backend", False) or (kind is None and cores is None):
         # serve interprets --backend itself (any registered kind,
         # including the virtual-time ones the override rejects)
         return args.fn(args)
-    if getattr(args, "backend", None) is not None:
-        # Probe the override once so bad --backend values (unknown kind,
-        # or a non-redirectable one like sim) exit 2 with the registry's
-        # self-documenting message instead of a traceback mid-run.
-        from repro.executor import backend_override
+    # --backend/--cores redirect every redirectable create() call the
+    # experiment makes (inline, threads, processes; sim keeps its virtual
+    # clock).  Probe the override once so a bad value (an unknown kind, a
+    # non-redirectable one like sim, no workers) exits 2 with the
+    # registry's own message instead of a traceback mid-run.
+    from repro.executor import backend_override
 
-        try:
-            with backend_override(kind=args.backend):
-                pass
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    with _backend_scope(args):
+    try:
+        with backend_override(kind=kind, cores=cores):
+            pass
+    except ValueError as exc:
+        return _usage_error(exc)
+    with backend_override(kind=kind, cores=cores):
         return args.fn(args)
 
 

@@ -10,7 +10,9 @@ samplesort buckets, thumbnail scaling) run on
   arrays travelling through the shared-memory plane; and
 * ``sim`` — the virtual-time prediction for the same core count.
 
-The table puts measured wall-clock speedup next to the sim-predicted
+Each row runs once untimed per backend, then :data:`REPEATS` times on
+the clock; the table prints each side's median and IQR and puts the
+measured speedup (the ratio of the medians) next to the sim-predicted
 speedup, which is the pedagogical punchline: the model says what *should*
 happen, the process pool shows what *does* happen on your actual cores.
 On a single-core host the measured column collapses to ~1x while the
@@ -38,9 +40,12 @@ from repro.bench.harness import ExperimentResult, register
 from repro.executor import create
 from repro.resilience import InjectedFault, RetryPolicy
 from repro.util.rng import derive
-from repro.util.stats import speedup
+from repro.util.stats import quantile, speedup
 
 __all__ = ["run_real_speedup", "default_cores"]
+
+#: timed runs per row and backend, after one untimed run
+REPEATS = 5
 
 #: retries are free (no backoff): a retried row re-submits with fresh
 #: task ids, so the seeded fault plan rolls fresh coin-flips each time
@@ -109,11 +114,30 @@ def _workloads(seed: int):
     ]
 
 
-def _timed(label: str, runner, executor) -> tuple[float, object]:
-    """Wall-clock one workload run under the row retry policy."""
-    t0 = time.perf_counter()
+def _timed(label: str, runner, executor, check=None) -> tuple[list[float], object]:
+    """Run one row once untimed, then :data:`REPEATS` times on the clock,
+    each under the row retry policy.
+
+    The untimed run pays first-call costs (worker imports, page faults,
+    BLAS start-up) that a warm pool never pays again.  Returns the timed
+    seconds and the first run's output; ``check`` sees every output.
+    """
     out = ROW_RETRY.run(runner, executor, key=label)
-    return time.perf_counter() - t0, out
+    if check is not None:
+        check(out)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        got = ROW_RETRY.run(runner, executor, key=label)
+        times.append(time.perf_counter() - t0)
+        if check is not None:
+            check(got)
+    return times, out
+
+
+def _median_iqr(times: list[float]) -> tuple[float, float]:
+    xs = sorted(times)
+    return quantile(xs, 0.50), quantile(xs, 0.75) - quantile(xs, 0.25)
 
 
 def _same(label: str, expect, got) -> None:
@@ -137,13 +161,19 @@ def run_real_speedup(seed: int = 2014, cores: int | None = None) -> ExperimentRe
     table_cols = [
         "workload",
         "inline (s)",
+        "inline IQR (s)",
         f"processes x{n} (s)",
+        "processes IQR (s)",
         "measured speedup",
         "sim-predicted speedup",
     ]
     from repro.util.tables import Table
 
-    table = Table(table_cols, title=f"real vs simulated speedup ({n} workers)", precision=3)
+    table = Table(
+        table_cols,
+        title=f"real vs simulated speedup ({n} workers, median of {REPEATS} warm runs)",
+        precision=3,
+    )
 
     # Sim predictions first (cheap, deterministic): virtual makespan at 1
     # core vs at n cores, same machine model as the rest of the bench.
@@ -163,24 +193,18 @@ def run_real_speedup(seed: int = 2014, cores: int | None = None) -> ExperimentRe
         for label, runner in workloads:
             inline_times[label], baselines[label] = _timed(f"{label}/inline", runner, ex)
 
-    # One shared pool for every row: spawn cost is paid once, and the
-    # warm-up tasks below pay each worker's import cost (numpy et al)
-    # before any timer starts.
+    # One shared pool for every row: spawn cost is paid once, and each
+    # row's untimed run pays the workers' first-call costs.
     with create("processes", cores=n) as pool:
-        warm = np.zeros(4)
-        for f in [pool.submit(np.sum, warm, name=f"warmup[{i}]") for i in range(n)]:
-            f.result()
         for label, runner in workloads:
-            wall, got = _timed(f"{label}/processes", runner, pool)
-            _same(label, baselines[label], got)
+            walls, _ = _timed(
+                f"{label}/processes", runner, pool,
+                check=lambda got, label=label: _same(label, baselines[label], got),
+            )
+            inline, inline_iqr = _median_iqr(inline_times[label])
+            wall, wall_iqr = _median_iqr(walls)
             table.add_row(
-                [
-                    label,
-                    inline_times[label],
-                    wall,
-                    speedup(inline_times[label], wall),
-                    predicted[label],
-                ]
+                [label, inline, inline_iqr, wall, wall_iqr, speedup(inline, wall), predicted[label]]
             )
 
     return ExperimentResult(
@@ -188,8 +212,10 @@ def run_real_speedup(seed: int = 2014, cores: int | None = None) -> ExperimentRe
         tables=(table,),
         notes=(
             "measured speedup is real wall-clock (no GIL: worker processes + shared-memory "
-            "transport); the sim column is the machine model's prediction at the same core "
-            "count. On a single-core host expect measured ~1x while predicted keeps its "
-            "multi-core shape — the model shows what more cores would buy."
+            "transport), the ratio of the two medians; the sim column is the machine model's "
+            "prediction at the same core count. The inline baseline runs in this process with "
+            "its default BLAS thread count, so the matmul row is not a serial baseline. On a "
+            "single-core host expect measured ~1x while predicted keeps its multi-core shape "
+            "— the model shows what more cores would buy."
         ),
     )

@@ -2,7 +2,7 @@
 
 Observability: running an experiment while a trace recorder is installed
 (``trace=`` on executors, or ambiently via :func:`repro.obs.use` — which
-is what ``python -m repro trace <exp>`` does) captures a per-experiment
+is what ``python -m repro analyze <exp>`` does) captures a per-experiment
 metrics snapshot on the result.  With no recorder installed the result —
 and its rendered report — is byte-identical to the untraced behaviour.
 """
@@ -49,15 +49,6 @@ class ExperimentResult:
         if self.notes:
             parts.append(f"notes: {self.notes}")
         return "\n".join(parts)
-
-    def render_metrics(self) -> str:
-        """Human-readable metrics block ('' when none were captured)."""
-        if not self.metrics:
-            return ""
-        lines = [f"----- metrics for {self.exp_id} -----"]
-        for name, value in sorted(self.metrics.items()):
-            lines.append(f"{name:40s} {value}")
-        return "\n".join(lines)
 
     def render_analysis(self) -> str:
         """Terminal trace-analysis block ('' when the run was untraced)."""

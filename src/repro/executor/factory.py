@@ -283,6 +283,8 @@ def backend_override(kind: str | None = None, cores: int | None = None) -> Itera
     retargets every real executor an experiment builds without each
     experiment growing backend plumbing.
     """
+    if cores is not None and cores < 1:
+        raise ValueError(f"cores must be >= 1, got {cores}")
     if kind is not None:
         kind = resolve_kind(kind)
         if get_backend(kind).capabilities.virtual_time:

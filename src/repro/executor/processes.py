@@ -438,9 +438,10 @@ class ProcessPool(Executor):
         method (module-level callables; no lambdas or closures).  Large
         NumPy arrays travel through the shared-memory plane instead of
         the pickle stream.  ``cost`` is accepted for interface parity
-        with the virtual-time backends and ignored; ``after`` only
-        records dependency edges in the trace — it does not delay
-        dispatch, because cross-process ordering is the queue's.
+        with the virtual-time backends and ignored.  ``after`` holds the
+        task in the parent until every dependency is done: a cancelled
+        dependency cancels it and a failed one fails it with the same
+        exception, without it ever reaching a worker.
         ``cancel`` and ``deadline`` follow the Future claim protocol:
         both can only win while the task is still queued.
         """

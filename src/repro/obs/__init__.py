@@ -7,8 +7,9 @@ speedup shapes, steal counts, GUI latency under load (paper §III-B,
 * :class:`TraceRecorder` collects :class:`TraceEvent` records (task
   submit/start/end with task ids, work-steal events, critical-section
   spans, barrier rendezvous, EDT service latency) into a pluggable
-  :class:`Sink` — in-memory for tests, JSONL for logs, or Chrome
-  ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto;
+  :class:`Sink` — in-memory for tests or JSONL for logs — and
+  :func:`write_chrome_trace` saves them as Chrome ``trace_event`` JSON
+  loadable in ``chrome://tracing`` / Perfetto;
 * :class:`Metrics` is a registry of counters, gauges and histograms
   (percentile summaries reuse :func:`repro.util.stats.summarize`);
 * :data:`NULL_RECORDER` is the zero-overhead default — every
@@ -24,9 +25,10 @@ Typical use::
     rec = obs.TraceRecorder()
     ex = create("threads", cores=4, trace=rec)
     ...
-    obs.ChromeTraceSink.write_events(rec.events(), "trace.json")
+    obs.write_chrome_trace(rec.events(), "trace.json")
 
-or ambiently, which is what ``python -m repro trace <experiment>`` does::
+or ambiently, which is what ``python -m repro analyze <experiment>`` does
+before it writes ``trace_<experiment>.json``::
 
     with obs.use(obs.TraceRecorder()) as rec:
         run_experiment()
@@ -90,7 +92,7 @@ from repro.obs.slo import (
     evaluate_slo,
     parse_objective,
 )
-from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, Sink
+from repro.obs.sinks import JsonlSink, MemorySink, Sink, write_chrome_trace
 from repro.obs.store import (
     PINNED,
     RUN_KINDS,
@@ -132,7 +134,7 @@ __all__ = [
     "Sink",
     "MemorySink",
     "JsonlSink",
-    "ChromeTraceSink",
+    "write_chrome_trace",
     "Metrics",
     "NullMetrics",
     "Counter",

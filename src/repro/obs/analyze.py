@@ -28,14 +28,13 @@ recorder was installed and someone asks for an analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.obs.trace import TraceEvent
-from repro.util.stats import Summary, karp_flatt, summarize
+from repro.util.stats import Summary, karp_flatt, quantile, summarize
 
 __all__ = [
     "TaskSpan",
@@ -175,8 +174,8 @@ def decompose_stages(
 
     ``samples`` maps stage name to per-request stage durations (the
     ``stage_samples`` of a :class:`repro.obs.rtrace.RequestSummary`);
-    mapping order is preserved in the output.  Percentiles use the same
-    nearest-rank order statistic as the serve load report, **not**
+    mapping order is preserved in the output.  Percentiles are
+    nearest-rank (:func:`repro.util.stats.quantile`), **not**
     interpolating ``np.percentile`` — exact under virtual time, so
     golden reports stay byte-stable.  Stages with no samples are
     dropped.
@@ -187,21 +186,16 @@ def decompose_stages(
         if not xs:
             continue
         ordered = sorted(xs)
-        n = len(ordered)
-
-        def rank(q: float, n: int = n) -> int:
-            return max(0, min(n - 1, math.ceil(q * n) - 1))
-
         total = sum(ordered)
         out.append(
             StageLatency(
                 stage=stage,
-                count=n,
+                count=len(ordered),
                 total=total,
                 share=total / grand_total if grand_total > 0 else 0.0,
-                p50=ordered[rank(0.50)],
-                p99=ordered[rank(0.99)],
-                p999=ordered[rank(0.999)],
+                p50=quantile(ordered, 0.50),
+                p99=quantile(ordered, 0.99),
+                p999=quantile(ordered, 0.999),
                 maximum=ordered[-1],
             )
         )

@@ -16,9 +16,8 @@ are actually observed:
 * :mod:`~repro.obs.live.flame` — flamegraph SVG/HTML and hotspot-table
   rendering of a folded profile (``python -m repro flame``).
 * :mod:`~repro.obs.live.export` — Prometheus text exposition of metrics
-  and live gauges, and a ``/metrics`` + ``/healthz`` HTTP thread.
-* :mod:`~repro.obs.live.dashboard` — the ``python -m repro top`` TTY
-  view: worker states, queue depth, throughput, event rates.
+  and live gauges, and a ``/metrics`` + ``/healthz`` HTTP thread — the
+  live view of a running experiment (``python -m repro flame --serve``).
 
 Live sampling is wall-clock and deliberately stays out of
 :mod:`repro.obs.baseline` gating: nothing here writes into a
@@ -26,7 +25,6 @@ Live sampling is wall-clock and deliberately stays out of
 bench reports and baseline comparisons are byte-identical.
 """
 
-from repro.obs.live.dashboard import Dashboard
 from repro.obs.live.export import MetricsServer, prometheus_text
 from repro.obs.live.flame import (
     FlameNode,
@@ -86,6 +84,4 @@ __all__ = [
     # export
     "prometheus_text",
     "MetricsServer",
-    # dashboard
-    "Dashboard",
 ]

@@ -25,7 +25,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.obs.live.sampler import Profile
-from repro.obs.report import _CSS as _REPORT_CSS
+from repro.obs.report import _page
 from repro.util.tables import Table
 
 __all__ = ["FlameNode", "build_tree", "render_flame_svg", "render_flame_html", "render_hotspots_text"]
@@ -218,18 +218,7 @@ def render_flame_html(profile: Profile, title: str = "flamegraph") -> str:
     sections.extend(_hotspot_html_rows(profile))
 
     subtitle = f"{total} samples · {len(profile.stacks())} distinct stacks"
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1"/>\n'
-        f"<title>{html.escape(title)}</title>\n"
-        f"<style>\n{_REPORT_CSS}</style>\n</head>\n"
-        '<body class="viz-root">\n<main>\n'
-        f"<h1>{html.escape(title)}</h1>\n"
-        f'<p class="sub">{html.escape(subtitle)}</p>\n'
-        + "\n".join(sections)
-        + "\n</main>\n</body>\n</html>\n"
-    )
+    return _page(title, subtitle, sections)
 
 
 def render_hotspots_text(profile: Profile) -> str:

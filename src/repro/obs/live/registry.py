@@ -9,8 +9,7 @@ driver thread a CLI run registers — announces itself here with a
 join), the *task* it is executing, and *since when*.  The sampling
 profiler (:mod:`repro.obs.live.sampler`) joins those facts with
 ``sys._current_frames()`` to attribute each stack sample; the metrics
-exporter and the ``top`` dashboard read the same registry for live
-gauges.
+exporter reads the same registry for live gauges.
 
 Hot-path cost is deliberately tiny: state transitions are plain
 attribute writes (GIL-atomic, no lock), and queue depths are *pull*
@@ -98,7 +97,7 @@ class WorkerHandle:
 
     Mutations are single attribute writes on purpose: a handle is
     written only by its own thread and read (racily, by design) by the
-    sampler/dashboard — a momentarily stale state is exactly as accurate
+    sampler/exporter — a momentarily stale state is exactly as accurate
     as sampling can ever be, and the hot path stays lock-free.
     """
 
@@ -287,7 +286,7 @@ class WorkerRegistry:
             out[g.name] = out.get(g.name, 0.0) + value
         return dict(sorted(out.items()))
 
-    # -- aggregates the exporter/dashboard serve -----------------------------
+    # -- aggregates the exporter serves ---------------------------------------
 
     def busy_workers(self) -> int:
         """Workers currently in the ``running`` state."""

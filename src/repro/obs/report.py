@@ -255,6 +255,23 @@ details summary { cursor: pointer; color: var(--text-secondary); font-weight: 60
 """
 
 
+def _page(title: str, subtitle: str, sections: Sequence[str]) -> str:
+    """The self-contained page every HTML renderer shares: inline
+    stylesheet, heading and subtitle, then ``sections`` in order."""
+    return (
+        "<!DOCTYPE html>\n"
+        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
+        '<meta name="viewport" content="width=device-width, initial-scale=1"/>\n'
+        f"<title>{html.escape(title)}</title>\n"
+        f"<style>\n{_CSS}</style>\n</head>\n"
+        '<body class="viz-root">\n<main>\n'
+        f"<h1>{html.escape(title)}</h1>\n"
+        f'<p class="sub">{html.escape(subtitle)}</p>\n'
+        + "\n".join(sections)
+        + "\n</main>\n</body>\n</html>\n"
+    )
+
+
 def _tile(value: str, label: str) -> str:
     """One stat tile (hero number + caption)."""
     return (
@@ -504,18 +521,7 @@ def render_html(analysis: TraceAnalysis, title: str = "trace analysis") -> str:
         )
 
     subtitle = f"{analysis.n_events} trace events · {len(analysis.groups)} group(s) · {total_tasks} task(s)"
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1"/>\n'
-        f"<title>{html.escape(title)}</title>\n"
-        f"<style>\n{_CSS}</style>\n</head>\n"
-        '<body class="viz-root">\n<main>\n'
-        f"<h1>{html.escape(title)}</h1>\n"
-        f'<p class="sub">{html.escape(subtitle)}</p>\n'
-        + "\n".join(sections)
-        + "\n</main>\n</body>\n</html>\n"
-    )
+    return _page(title, subtitle, sections)
 
 
 # -- request waterfall -------------------------------------------------------
@@ -655,15 +661,4 @@ def render_waterfall(summary: RequestSummary, title: str = "request waterfall") 
         f"{summary.failed} failed · {summary.rejected} rejected · "
         f"{len(summary.sheds)} shed"
     )
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1"/>\n'
-        f"<title>{html.escape(title)}</title>\n"
-        f"<style>\n{_CSS}</style>\n</head>\n"
-        '<body class="viz-root">\n<main>\n'
-        f"<h1>{html.escape(title)}</h1>\n"
-        f'<p class="sub">{html.escape(subtitle)}</p>\n'
-        + "\n".join(sections)
-        + "\n</main>\n</body>\n</html>\n"
-    )
+    return _page(title, subtitle, sections)

@@ -2,8 +2,8 @@
 
 Sinks receive :class:`~repro.obs.trace.TraceEvent` records one at a time
 via :meth:`Sink.emit`; emission must be cheap and thread-safe because the
-thread-pool backend emits from worker threads.  Serialisation happens at
-:meth:`Sink.close` / :meth:`ChromeTraceSink.write` time.
+thread-pool backend emits from worker threads.  A finished run's events
+become a Chrome trace in one call, :func:`write_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import IO, TYPE_CHECKING, Any, Iterable
 if TYPE_CHECKING:  # import cycle: trace.py imports this module
     from repro.obs.trace import TraceEvent
 
-__all__ = ["Sink", "MemorySink", "JsonlSink", "ChromeTraceSink"]
+__all__ = ["Sink", "MemorySink", "JsonlSink", "write_chrome_trace"]
 
 
 class Sink:
@@ -124,63 +124,14 @@ class JsonlSink(Sink):
         return f"JsonlSink({where!r}, events={self._count})"
 
 
-class ChromeTraceSink(Sink):
-    """Buffers events and writes Chrome ``trace_event`` JSON on close.
+def write_chrome_trace(events: Iterable["TraceEvent"], path: str | Path) -> Path:
+    """Write ``events`` (e.g. ``TraceRecorder.events()``) to ``path`` as
+    Chrome ``trace_event`` JSON and return the path.
 
     The output is the *object* form (``{"traceEvents": [...]}``), which
     both ``chrome://tracing`` and Perfetto load directly.
     """
-
-    def __init__(self, path: str | Path) -> None:
-        self._lock = threading.Lock()
-        self._path = Path(path)
-        self.events: list["TraceEvent"] = []
-        self._written = False
-
-    def emit(self, event: "TraceEvent") -> None:
-        with self._lock:
-            self.events.append(event)
-
-    def clear(self) -> None:
-        """Drop buffered events (used by ``TraceRecorder.clear``)."""
-        with self._lock:
-            self.events.clear()
-
-    def flush(self) -> None:
-        """Serialise the events buffered so far without sealing the sink;
-        a later :meth:`close` rewrites the file with the full stream."""
-        with self._lock:
-            if self._written:
-                return
-            events = list(self.events)
-        self._path.write_text(self.render_events(events))
-
-    def close(self) -> None:
-        """Write the final trace JSON exactly once (idempotent)."""
-        with self._lock:
-            if self._written:
-                return
-            self._written = True
-            events = list(self.events)
-        self._path.write_text(self.render_events(events))
-
-    # -- reusable serialisation ---------------------------------------------
-
-    @staticmethod
-    def render_events(events: Iterable["TraceEvent"]) -> str:
-        """Chrome trace JSON text for ``events`` (stable field order)."""
-        doc = {
-            "traceEvents": [e.to_chrome() for e in events],
-            "displayTimeUnit": "ms",
-        }
-        return json.dumps(doc, default=str)
-
-    @classmethod
-    def write_events(cls, events: Iterable["TraceEvent"], path: str | Path) -> Path:
-        """One-shot: serialise ``events`` (e.g. from a MemorySink) to ``path``."""
-        out = Path(path)
-        out.write_text(cls.render_events(events))
-        return out
-
-    def __repr__(self) -> str:
-        return f"ChromeTraceSink({str(self._path)!r}, events={len(self.events)})"
+    doc = {"traceEvents": [e.to_chrome() for e in events], "displayTimeUnit": "ms"}
+    out = Path(path)
+    out.write_text(json.dumps(doc, default=str))
+    return out

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from repro.util.stats import quantile
 from repro.util.tables import Table
 
 __all__ = [
@@ -172,13 +173,6 @@ class SLOVerdict:
         return out
 
 
-def _nearest_rank(sorted_xs: Sequence[float], q: float) -> float:
-    """Same order statistic as ``LoadReport.percentile`` (nearest-rank)."""
-    n = len(sorted_xs)
-    rank = max(0, min(n - 1, math.ceil(q * n) - 1))
-    return sorted_xs[rank]
-
-
 _QUANTILES = {"p50": 0.50, "p99": 0.99, "p999": 0.999}
 
 
@@ -245,9 +239,7 @@ def evaluate_slo(
                 if objective.metric in _QUANTILES:
                     if not ok_lat[w]:
                         continue
-                    value = _nearest_rank(
-                        sorted(ok_lat[w]), _QUANTILES[objective.metric]
-                    )
+                    value = quantile(sorted(ok_lat[w]), _QUANTILES[objective.metric])
                 elif objective.metric == "shed_rate":
                     denom = sheds[w] + resolved[w]
                     if denom == 0:

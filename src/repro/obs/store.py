@@ -42,7 +42,6 @@ gauges the Prometheus exporter renders under ``repro_store_*``.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -53,6 +52,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.obs.metrics import Metrics
 from repro.util.rng import stable_hash
+from repro.util.stats import quantile
 from repro.util.stopwatch import Clock
 
 __all__ = [
@@ -510,9 +510,7 @@ def reduce_values(values: Sequence[float], reducer: str) -> float:
         return xs[-1]
     if reducer == "mean":
         return sum(xs) / len(xs)
-    q = 0.50 if reducer == "p50" else 0.99
-    rank = max(0, min(len(xs) - 1, math.ceil(q * len(xs)) - 1))
-    return xs[rank]
+    return quantile(xs, 0.50 if reducer == "p50" else 0.99)
 
 
 @dataclass(frozen=True)

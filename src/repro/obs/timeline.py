@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.obs.baseline import DEFAULT_THRESHOLD, metric_direction
-from repro.obs.report import _CSS, _html_table, _tile
+from repro.obs.report import _html_table, _page, _tile
 from repro.obs.store import RunRecord
 from repro.util.tables import Table
 
@@ -315,15 +315,4 @@ def render_timeline_html(
         )
     title = f"run timeline · {exp_id}"
     subtitle = f"{len(series)} metric(s) · {n_runs} run(s) · {n_flags} change-point(s)"
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en">\n<head>\n<meta charset="utf-8"/>\n'
-        '<meta name="viewport" content="width=device-width, initial-scale=1"/>\n'
-        f"<title>{html.escape(title)}</title>\n"
-        f"<style>\n{_CSS}</style>\n</head>\n"
-        '<body class="viz-root">\n<main>\n'
-        f"<h1>{html.escape(title)}</h1>\n"
-        f'<p class="sub">{html.escape(subtitle)}</p>\n'
-        + "\n".join(sections)
-        + "\n</main>\n</body>\n</html>\n"
-    )
+    return _page(title, subtitle, sections)

@@ -25,7 +25,7 @@ call it unconditionally (calls are cheap) or guard hot paths with
 
 An *ambient* recorder can be installed with :func:`use`; constructors
 that take ``trace=None`` resolve it via :func:`resolve_recorder`, which
-is how ``python -m repro trace <exp>`` captures executors built deep
+is how ``python -m repro analyze <exp>`` captures executors built deep
 inside an experiment without threading a parameter through every layer.
 """
 
@@ -264,8 +264,8 @@ class TraceRecorder:
         """Recorder self-cost: events timed and seconds spent in the sink.
 
         All zeros unless the recorder was built with
-        ``track_overhead=True`` — the accounting is for live dashboards
-        and never feeds :mod:`repro.obs.baseline`.
+        ``track_overhead=True`` — the accounting is for the live views
+        (``flame``, ``/metrics``) and never feeds :mod:`repro.obs.baseline`.
         """
         with self._lock:
             return {"events": float(self._overhead_events), "seconds": self._overhead_seconds}

@@ -45,6 +45,7 @@ from repro.serve.cache import LRUTTLCache, ModeledCache
 from repro.serve.gateway import Gateway
 from repro.serve.requests import Completed, Failed, Rejected
 from repro.util.rng import derive
+from repro.util.stats import quantile
 from repro.util.tables import Table
 
 __all__ = [
@@ -231,11 +232,7 @@ class LoadReport:
     def percentile(self, q: float) -> float:
         """Exact order-statistic percentile (nearest-rank) over completed
         request latencies; 0 when nothing completed."""
-        if not self.latencies:
-            return 0.0
-        xs = sorted(self.latencies)
-        rank = max(0, min(len(xs) - 1, math.ceil(q * len(xs)) - 1))
-        return xs[rank]
+        return quantile(sorted(self.latencies), q) if self.latencies else 0.0
 
     def metrics(self) -> dict[str, float]:
         """Flat metrics for ``obs.baseline`` (names carry direction:
@@ -327,21 +324,9 @@ class LoadReport:
                 ]
             )
         totals = sorted(self.stages.latencies)
-        n = len(totals)
-
-        def rank(q: float) -> int:
-            return max(0, min(n - 1, math.ceil(q * n) - 1))
-
         t.add_row(
-            [
-                "end_to_end",
-                n,
-                round(sum(totals), 6),
-                1.0,
-                round(totals[rank(0.50)] if n else 0.0, 6),
-                round(totals[rank(0.99)] if n else 0.0, 6),
-                round(totals[rank(0.999)] if n else 0.0, 6),
-            ]
+            ["end_to_end", len(totals), round(sum(totals), 6), 1.0]
+            + [round(quantile(totals, q), 6) if totals else 0.0 for q in (0.50, 0.99, 0.999)]
         )
         return t
 

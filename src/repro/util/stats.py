@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "Summary",
     "summarize",
+    "quantile",
     "speedup",
     "efficiency",
     "amdahl_speedup",
@@ -71,6 +72,26 @@ def summarize(samples: Sequence[float]) -> Summary:
         p95=float(q[3]),
         maximum=float(arr.max()),
     )
+
+
+def quantile(sorted_xs: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of an ascending sample: the value at
+    rank ``ceil(q·n)``, so every result is an observed sample.
+
+    Exact under virtual time, which keeps the serve, SLO, stage and
+    run-store figures byte-stable.  The caller sorts once, since one
+    sample usually yields several quantiles.  Raises ``ValueError`` on
+    an empty sample.
+
+    Three paper statistics keep their own rules, because their golden
+    reports print them: ``gui.sim_ui``'s ``p95_latency``
+    (``sorted[int(0.95·n)]``), the upper median in ``sem``, and the
+    interpolating :func:`summarize` under the course report.
+    """
+    n = len(sorted_xs)
+    if n == 0:
+        raise ValueError("cannot take a quantile of an empty sample")
+    return sorted_xs[max(0, min(n - 1, math.ceil(q * n) - 1))]
 
 
 def speedup(t_serial: float, t_parallel: float) -> float:

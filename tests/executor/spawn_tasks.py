@@ -36,6 +36,18 @@ def big_result_then_exit_on_pickle(side: int) -> tuple[np.ndarray, ExitOnPickle]
     return np.ones((side, side)), ExitOnPickle()
 
 
+def now_after(seconds: float) -> float:
+    """Sleep, then return the wall-clock time (``time.time()``)."""
+    time.sleep(seconds)
+    return time.time()
+
+
+def fail_after(seconds: float) -> None:
+    """Sleep, then raise ``RuntimeError``."""
+    time.sleep(seconds)
+    raise RuntimeError("dependency failed")
+
+
 def sum_after(seconds: float, arr: np.ndarray) -> float:
     """Sleep, then read the argument."""
     time.sleep(seconds)

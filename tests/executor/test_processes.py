@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.resilience import (
     InjectedFault,
 )
 
+from tests.executor import spawn_tasks
 from tests.executor.spawn_tasks import THREAD_VARS, thread_env
 
 
@@ -151,6 +153,42 @@ class TestLifecycle:
         ex.shutdown()
         with pytest.raises(ExecutorShutdown):
             ex.submit(np.sum, np.arange(3))
+
+
+class TestAfter:
+    """``after`` holds a dependent in the parent until its dependencies
+    are done, and carries a dependency's cancellation or failure over."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        def segments():
+            return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+        before = segments()
+        with create("processes", cores=2) as ex:
+            yield ex
+        assert segments() - before == set()
+
+    def test_dependent_starts_after_the_dependency_finished(self, pool):
+        dep = pool.submit(spawn_tasks.now_after, 0.5, name="dep")
+        # the second worker is idle: only the dependency edge holds this back
+        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
+        assert dependent.result(timeout=10) >= dep.result(timeout=10)
+
+    def test_cancelled_dependency_cancels_the_dependent(self, pool):
+        gate = pool.submit(spawn_tasks.now_after, 0.5, name="gate")
+        dep = pool.submit(spawn_tasks.now_after, 0.0, name="dep", after=[gate])
+        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
+        assert dep.cancel("stop")
+        with pytest.raises(CancelledError, match="dependency 'dep' was cancelled"):
+            dependent.result(timeout=10)
+        gate.result(timeout=10)
+
+    def test_failed_dependency_fails_the_dependent(self, pool):
+        dep = pool.submit(spawn_tasks.fail_after, 0.2, name="dep")
+        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
+        with pytest.raises(RuntimeError, match="dependency failed"):
+            dependent.result(timeout=10)
 
 
 class TestConfigSurface:

@@ -1,4 +1,4 @@
-"""End-to-end observability: instrumented backends and the trace CLI."""
+"""End-to-end observability: instrumented backends and the Chrome trace ``analyze`` writes."""
 
 import json
 
@@ -107,12 +107,14 @@ class TestEdtInstrumentation:
 
 
 class TestTraceCli:
+    """``analyze`` writes the recorded events as Chrome trace JSON
+    beside its HTML report."""
+
     @pytest.fixture()
     def trace_doc(self, tmp_path, capsys):
-        out = tmp_path / "proj2.json"
-        assert main(["trace", "proj2", "-o", str(out)]) == 0
+        assert main(["analyze", "proj2", "-o", str(tmp_path), "--no-record"]) == 0
         captured = capsys.readouterr()
-        doc = json.loads(out.read_text())
+        doc = json.loads((tmp_path / "trace_proj2.json").read_text())
         return doc, captured
 
     def test_writes_valid_chrome_trace(self, trace_doc):
@@ -123,11 +125,11 @@ class TestTraceCli:
         assert any(e["cat"] in ("steal", "barrier") for e in events)
 
     def test_prints_report_and_metrics(self, trace_doc):
-        _, captured = trace_doc
+        doc, captured = trace_doc
         assert "experiment proj2" in captured.out
-        assert "metrics for proj2" in captured.err
-        assert "trace events" in captured.err
+        assert "trace analysis:" in captured.out
+        assert f"{len(doc['traceEvents'])} trace events -> " in captured.err
 
     def test_unknown_experiment(self, capsys):
-        assert main(["trace", "nope"]) == 2
+        assert main(["analyze", "nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

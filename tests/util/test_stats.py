@@ -1,15 +1,22 @@
 """Tests for summary statistics and parallel-performance metrics."""
 
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs.analyze import decompose_stages
+from repro.obs.rtrace import RequestSummary
+from repro.obs.slo import Objective, evaluate_slo
+from repro.obs.store import reduce_values
+from repro.serve.loadgen import LoadReport
 from repro.util.stats import (
     amdahl_speedup,
     efficiency,
     gustafson_speedup,
     karp_flatt,
+    quantile,
     speedup,
     summarize,
 )
@@ -52,6 +59,57 @@ class TestSummarize:
         assert s.median <= s.p75 + tol
         assert s.p75 <= s.p95 + tol
         assert s.p95 <= s.maximum + tol
+
+
+class TestQuantile:
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_is_the_nearest_rank_formula(self, xs, q):
+        xs = sorted(xs)
+        n = len(xs)
+        assert quantile(xs, q) == xs[max(0, min(n - 1, math.ceil(q * n) - 1))]
+
+    def test_known_ranks(self):
+        xs = [1.0, 2.0, 3.0, 4.0]
+        assert [quantile(xs, q) for q in (0.0, 0.25, 0.5, 0.51, 1.0)] == [1.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            quantile([], 0.5)
+
+    def test_every_nearest_rank_site_reads_quantile(self):
+        """One sample through the five places that once spelled the
+        formula out themselves: each reads exactly ``quantile``'s value."""
+        xs = [(i * 41 % 101) / 1000 for i in range(1, 38)]  # distinct, unsorted
+        ordered = sorted(xs)
+        want = [quantile(ordered, q) for q in (0.50, 0.99, 0.999)]
+        n = len(xs)
+        summary = RequestSummary(
+            requests=n, completed=n, failed=0, rejected=0, cached=0,
+            stage_samples={"execute": tuple(xs)}, latencies=tuple(xs),
+            resolves=(0.5,) * n, oks=(True,) * n, statuses=("completed",) * n,
+            sheds=(), exemplars=(),
+        )
+        report = LoadReport(
+            "steady", "sim", 4, 0, requests=n, duration=1.0, completed=n,
+            latencies=list(xs), stages=summary,
+        )
+        assert [report.percentile(q) for q in (0.50, 0.99, 0.999)] == want
+        assert report.stage_table().rows[-1][4:] == want  # the end_to_end row
+        (stage,) = decompose_stages(summary.stage_samples)
+        assert [stage.p50, stage.p99, stage.p999] == want
+        # One window holds every sample; meeting both "<= v" and ">= v"
+        # pins each window value to exactly v.
+        objectives = [
+            Objective(metric, op, v)
+            for metric, v in zip(("p50", "p99", "p999"), want)
+            for op in ("<=", ">=")
+        ]
+        verdict = evaluate_slo(report, objectives, window=1.0)
+        assert [(r.windows, r.breached) for r in verdict.results] == [(1, 0)] * 6
+        assert reduce_values(xs, "p99") == want[1]
 
 
 class TestSpeedupEfficiency:
