@@ -20,9 +20,7 @@ registered.  ``KINDS`` is a live view of the registry, so external
 registrations show up in it immediately.
 
 The :class:`ExecutorConfig` dataclass is the declarative twin: it
-validates eagerly, can be stored/compared, round-trips to plain dicts
-(:meth:`ExecutorConfig.to_dict` / :meth:`ExecutorConfig.from_dict`) so
-orchestration layers can persist and replay configurations, and
+validates eagerly, can be stored and compared, and
 :meth:`ExecutorConfig.build` makes the executor.
 
 Direct constructors (:class:`~repro.executor.inline.InlineExecutor`,
@@ -35,7 +33,6 @@ resolution, trace injection and backend redirection are decided.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -118,11 +115,6 @@ class ExecutorConfig:
         if not backend.accepts_machine and self.machine is not None:
             raise ValueError(f"{kind} execution takes no machine model")
 
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """The registered capability declaration for this config's backend."""
-        return get_backend(self.kind).capabilities
-
     def resolved_machine(self) -> MachineSpec:
         """The machine the sim backend will run on (PARC64-derived default)."""
         machine = self.machine if self.machine is not None else PARC64
@@ -141,62 +133,6 @@ class ExecutorConfig:
     def build(self) -> Executor:
         """Construct the configured executor via its registered builder."""
         return get_backend(self.kind).builder(self)
-
-    def to_dict(self) -> dict[str, Any]:
-        """A plain-dict snapshot that :meth:`from_dict` reconstructs exactly.
-
-        Only declarative fields serialise; a live ``trace`` recorder is a
-        runtime object and raises ``ValueError`` (inject it at build time
-        instead, or rely on the ambient recorder).
-        """
-        if self.trace is not None:
-            raise ValueError(
-                "ExecutorConfig with a live trace recorder cannot be serialised; "
-                "attach the recorder at build time or use the ambient one"
-            )
-        return {
-            "kind": self.kind,
-            "cores": self.cores,
-            "machine": None if self.machine is None else dataclasses.asdict(self.machine),
-            "faults": None if self.faults is None else dataclasses.asdict(self.faults),
-            "options": dict(self.options),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExecutorConfig":
-        """Rebuild a config from :meth:`to_dict` output, rejecting unknown keys eagerly."""
-        if not isinstance(data, dict):
-            raise ValueError(f"ExecutorConfig.from_dict expects a dict, got {type(data).__name__}")
-        allowed = {"kind", "cores", "machine", "faults", "options"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown ExecutorConfig keys {sorted(unknown)}; expected a subset of {sorted(allowed)}"
-            )
-        if "kind" not in data:
-            raise ValueError("ExecutorConfig dict is missing the required 'kind' key")
-        machine = data.get("machine")
-        if machine is not None:
-            try:
-                machine = MachineSpec(**machine)
-            except TypeError as exc:
-                raise ValueError(f"bad machine spec in ExecutorConfig dict: {exc}") from exc
-        faults = data.get("faults")
-        if faults is not None:
-            try:
-                faults = FaultPlan(**faults)
-            except TypeError as exc:
-                raise ValueError(f"bad fault plan in ExecutorConfig dict: {exc}") from exc
-        options = data.get("options") or {}
-        if not isinstance(options, dict):
-            raise ValueError(f"ExecutorConfig options must be a dict, got {type(options).__name__}")
-        return cls(
-            kind=data["kind"],
-            cores=data.get("cores"),
-            machine=machine,
-            faults=faults,
-            options=dict(options),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +173,7 @@ register_backend(
     "threads",
     _build_threads,
     capabilities=BackendCapabilities(),
-    options=("compute_mode", "time_scale", "steal_seed", "name", "scheduling"),
+    options=("compute_mode", "time_scale", "steal_seed", "name"),
     aliases=("pool", "thread"),
     summary="real OS threads with work-stealing deques and blocked-join helping (GIL-bound)",
 )

@@ -148,11 +148,14 @@ class Future:
         ``shutdown(drain=False)``) that may be racing an external
         :meth:`cancel` — exactly one of the two wins, never both.
         """
+        return self._end_pending(_FAILED, exception)
+
+    def _end_pending(self, state: str, exc: BaseException) -> bool:
         with self._lock:
             if self._state != _PENDING:
                 return False
-            self._exception = exception
-            self._state = _FAILED
+            self._exception = exc
+            self._state = state
             callbacks, self._callbacks = self._callbacks, None
             waiter = self._waiter
         if waiter is not None:
@@ -174,25 +177,10 @@ class Future:
         cancellation exception and done-callbacks run — that is what
         cascades cancellation through dependence managers.
         """
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            if isinstance(reason, BaseException):
-                self._exception = reason
-            else:
-                detail = f": {reason}" if reason else ""
-                self._exception = CancelledError(
-                    f"future {self.name!r} was cancelled{detail}"
-                )
-            self._state = _CANCELLED
-            callbacks, self._callbacks = self._callbacks, None
-            waiter = self._waiter
-        if waiter is not None:
-            waiter.set()
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-        return True
+        if not isinstance(reason, BaseException):
+            detail = f": {reason}" if reason else ""
+            reason = CancelledError(f"future {self.name!r} was cancelled{detail}")
+        return self._end_pending(_CANCELLED, reason)
 
     def try_start(self) -> bool:
         """Claim the task for execution (pending -> running); False if the

@@ -13,12 +13,12 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.executor.base import Executor
+from repro.executor.base import Executor, ExecutorShutdown, injected_fault, settle_unstarted
 from repro.executor.future import Future
 from repro.obs import rtrace as _rtrace
 from repro.obs.trace import TraceRecorder, resolve_recorder
-from repro.resilience.cancel import CancelToken, DeadlineExceeded, scoped_token
-from repro.resilience.faults import FaultPlan, InjectedFault, resolve_faults
+from repro.resilience.cancel import CancelToken, scoped_token
+from repro.resilience.faults import FaultPlan, resolve_faults
 
 __all__ = ["InlineExecutor"]
 
@@ -56,53 +56,27 @@ class InlineExecutor(Executor):
         deadline: float | None = None,
         **kwargs: Any,
     ) -> Future:
-        """Run ``fn`` right now on the caller; the future is already done.
-
-        Eager execution leaves a narrow cancellation window: only a token
-        cancelled *before* submit (or a non-positive ``deadline``) can
-        stop the task, since it starts immediately.
-        """
+        """Run ``fn`` right now on the caller; the future is already done."""
+        if self._shut:
+            raise ExecutorShutdown("inline executor is shut down")
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0, got {deadline}")
         future = Future(name=name or getattr(fn, "__name__", "task"))
-        for dep in after:
-            if not dep.done():
-                # Inline execution runs everything to completion at submit
-                # time, so an unfinished dependency is a programming error
-                # (a cycle or a future from another executor).
-                raise RuntimeError(f"inline task {name!r} depends on unfinished future {dep.name!r}")
-            if dep.cancelled():
-                # Cancellation cascades: a cancelled dep cancels the
-                # dependent (same contract as the thread pool).
-                future.cancel(f"dependency {dep.name!r} was cancelled")
-                self._emit_cancel(future)
-                return future
-            exc = dep.exception()
-            if exc is not None:
-                # A failed dependency fails the dependent task without
-                # running it — the same contract as the thread pool.
-                future.set_exception(exc)
-                return future
-        if cancel is not None and cancel.cancelled:
-            future.cancel(f"token {cancel.name!r} cancelled")
-            self._emit_cancel(future)
-            return future
-        if deadline == 0:
-            future.cancel(DeadlineExceeded(f"task {future.name!r} missed its deadline"))
-            self._emit_cancel(future)
+        if (after or cancel is not None or deadline is not None) and settle_unstarted(
+            future, after, cancel, deadline, self.trace, "inline.cancelled"
+        ):
             return future
         self._task_counter += 1
         tid = self._task_counter
         future.meta["tid"] = tid
         future.try_start()
-        if self.faults is not None and self.faults.should_fail_task("inline", tid):
-            if self.trace.enabled:
-                self.trace.event("fault", future.name, task_id=tid, worker=0)
-                self.trace.count("inline.faults_injected")
-            future.set_exception(
-                InjectedFault(f"task {future.name!r} failed by fault plan")
+        if self.faults is not None:
+            fault = injected_fault(
+                self.faults, "inline", tid, future.name, self.trace, "inline.faults_injected", worker=0
             )
-            return future
+            if fault is not None:
+                future.set_exception(fault)
+                return future
         prev = self._current_task
         self._current_task = tid
         trace = self.trace
@@ -133,16 +107,6 @@ class InlineExecutor(Executor):
             if trace.enabled:
                 trace.event("task", future.name, phase="E", task_id=tid, worker=0)
         return future
-
-    def _emit_cancel(self, future: Future) -> None:
-        if self.trace.enabled:
-            self.trace.event(
-                "cancel",
-                future.name,
-                task_id=future.meta.get("tid", 0),
-                exception=type(future.exception()).__name__,
-            )
-            self.trace.count("inline.cancelled")
 
     def compute(self, cost: float) -> None:
         if cost < 0:

@@ -61,7 +61,6 @@ discipline the CI smoke job checks.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import multiprocessing as mp
 import os
@@ -73,19 +72,28 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.executor import shm as shm_plane
-from repro.executor.base import Executor, ExecutorShutdown
+from repro.executor.base import (
+    DeadlineReaper,
+    Executor,
+    ExecutorShutdown,
+    emit_cancel,
+    emit_submit,
+    gate,
+    missed_deadline,
+    strand,
+)
 from repro.executor.future import Future
 from repro.obs import rtrace
 from repro.obs.shards import merge_shards, replay_into, shard_path
 from repro.obs.sinks import JsonlSink
 from repro.obs.trace import TraceRecorder, resolve_recorder
 from repro.obs.trace import use as obs_use
-from repro.resilience.cancel import CancelledError, CancelToken, DeadlineExceeded, scoped_token
+from repro.resilience.cancel import CancelledError, CancelToken, scoped_token
 from repro.resilience.faults import FaultPlan, InjectedFault, resolve_faults
 from repro.resilience.remote import RemoteCancelChannel, WorkerCancelListener
 
@@ -162,7 +170,6 @@ class _Task:
     args: tuple[Any, ...]
     kwargs: dict[str, Any]
     deadline_wall: float | None = None
-    token: CancelToken | None = field(default=None, repr=False)
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -311,12 +318,8 @@ class ProcessPool(Executor):
         self._tid_counter = itertools.count(1)
         self._critical_locks: dict[str, threading.RLock] = {}
 
-        # Deadline reaper (parent side: cancels still-pending futures).
-        self._deadline_cond = threading.Condition()
-        self._deadline_heap: list[tuple[float, int, Future]] = []
-        self._deadline_seq = itertools.count()
-        self._reaper: threading.Thread | None = None
-        self._reaper_stop = False
+        # Parent side: cancels futures still queued here at their deadline.
+        self._reaper = DeadlineReaper(name, on_cancel=self._cancelled)
 
         ctx = mp.get_context("spawn")
         self._task_q = ctx.SimpleQueue()
@@ -389,6 +392,8 @@ class ProcessPool(Executor):
                 with self._cond:
                     if self._closing:
                         return
+                    # Under the lock: _schedule appends nothing after this.
+                    self._broken = True
                     broken = list(self._ready)
                     self._ready.clear()
                     self._cond.notify_all()
@@ -396,28 +401,29 @@ class ProcessPool(Executor):
                 why = ExecutorShutdown(
                     f"pool {self.name!r} is broken: {len(dead)} worker(s) died (exitcodes {codes})"
                 )
-                self._broken = True
                 for task in broken:
                     task.future.fail_if_pending(why)
-                reclaimed = 0
-                for tid in list(self._shipped):
-                    task = self._shipped.pop(tid, None)
-                    if task is None:
-                        continue
-                    reclaimed += 1
-                    self._reclaimed.append(task)
-                    if not task.future.done():
-                        try:
-                            task.future.set_exception(why)
-                        except Exception:
-                            pass  # lost the race to a late completion
+                reclaimed = self._fail_shipped(why)
+                self._reclaimed.extend(reclaimed)
                 with self._cond:
                     # The collector skips tids we reclaimed, so account
                     # for them here or shutdown's drain wait never ends.
-                    self._inflight -= reclaimed
+                    self._inflight -= len(reclaimed)
                     self._cond.notify_all()
                 return
             time.sleep(0.2)
+
+    def _fail_shipped(self, why: BaseException) -> list[_Task]:
+        """Take every shipped task back and fail its future with ``why``."""
+        popped = (self._shipped.pop(tid, None) for tid in list(self._shipped))
+        tasks = [task for task in popped if task is not None]  # None: the collector got it first
+        for task in tasks:
+            if not task.future.done():
+                try:
+                    task.future.set_exception(why)
+                except Exception:
+                    pass  # lost the race to a late completion
+        return tasks
 
     # -- submission ----------------------------------------------------------
 
@@ -438,12 +444,10 @@ class ProcessPool(Executor):
         method (module-level callables; no lambdas or closures).  Large
         NumPy arrays travel through the shared-memory plane instead of
         the pickle stream.  ``cost`` is accepted for interface parity
-        with the virtual-time backends and ignored.  ``after`` holds the
-        task in the parent until every dependency is done: a cancelled
-        dependency cancels it and a failed one fails it with the same
-        exception, without it ever reaching a worker.
-        ``cancel`` and ``deadline`` follow the Future claim protocol:
-        both can only win while the task is still queued.
+        with the virtual-time backends and ignored.  A task waiting on
+        ``after`` is held in the parent, and one cancelled there never
+        reaches a worker; a token cancelled after the task shipped
+        chases it to its worker.
         """
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0, got {deadline}")
@@ -455,24 +459,18 @@ class ProcessPool(Executor):
         future = Future(name=name or getattr(fn, "__name__", "task"))
         tid = next(self._tid_counter)
         future.meta["tid"] = tid
-        task = _Task(tid=tid, future=future, fn=fn, args=args, kwargs=kwargs, token=cancel)
+        task = _Task(tid=tid, future=future, fn=fn, args=args, kwargs=kwargs)
         if deadline is not None:
             task.deadline_wall = time.time() + deadline
 
         if self.trace.enabled:
-            dep_tasks = [d.meta["tid"] for d in after if "tid" in d.meta]
-            self.trace.event(
-                "submit", future.name, task_id=tid,
-                parent=self.task_id(), deps=len(after), dep_tasks=dep_tasks,
-            )
-            self.trace.count(f"{self.name}.submitted")
+            emit_submit(self.trace, future, self.task_id(), after, f"{self.name}.submitted")
 
         if cancel is not None:
             def on_token_cancel() -> None:
                 reason = f"token {cancel.name!r} cancelled"
                 if future.cancel(reason):
-                    self._emit_cancel(future)
-                    self._notify()
+                    self._cancelled(future)
                 else:
                     # Already claimed: the cancel must chase the task
                     # across the process boundary.
@@ -481,80 +479,36 @@ class ProcessPool(Executor):
             cancel.on_cancel(on_token_cancel)
             if future.done():  # token was already cancelled at submit
                 return future
+        if deadline is not None:
+            self._reaper.watch(future, time.monotonic() + deadline)
 
-        pending = [dep for dep in after if not dep.done()]
-        if not pending:
-            if self._resolve_deps_now(task, after):
-                self._schedule(task)
-            return future
-
-        remaining = len(pending)
-        count_lock = threading.Lock()
-
-        def on_dep_done(dep: Future) -> None:
-            nonlocal remaining
-            if future.done():
-                return
-            if dep.cancelled():
-                if future.cancel(f"dependency {dep.name!r} was cancelled"):
-                    self._emit_cancel(future)
-                return
-            exc = dep.exception()
-            if exc is not None:
-                future.fail_if_pending(exc)
-                return
-            with count_lock:
-                remaining -= 1
-                ready = remaining == 0
-            if ready and self._resolve_deps_now(task, after):
-                self._schedule(task)
-
-        for dep in pending:
-            dep.add_done_callback(on_dep_done)
+        if after:
+            gate(future, after, lambda: self._schedule(task), self._cancelled)
+        else:
+            self._schedule(task)
         return future
-
-    def _resolve_deps_now(self, task: _Task, after: Sequence[Future]) -> bool:
-        """Apply completed-dependency outcomes; True if the task may run."""
-        for dep in after:
-            if dep.cancelled():
-                if task.future.cancel(f"dependency {dep.name!r} was cancelled"):
-                    self._emit_cancel(task.future)
-                return False
-            exc = dep.exception() if dep.done() else None
-            if exc is not None:
-                task.future.fail_if_pending(exc)
-                return False
-        return True
 
     def _schedule(self, task: _Task) -> None:
         with self._cond:
-            if self._closing:
-                closing = True
-            else:
-                closing = False
+            refused = self._closing or self._broken
+            if not refused:
                 self._ready.append(task)
                 if self.trace.enabled:
                     self.trace.set_gauge(f"{self.name}.ready", float(len(self._ready)))
                 self._cond.notify_all()
-        if closing:
-            # A dependency completed after shutdown began: strand rather
-            # than leave the waiter hanging on a queue nobody feeds.
+        if refused:
+            # A dependency completed after shutdown began or a worker
+            # died: fail rather than leave the waiter hanging on a queue
+            # nobody feeds.
             task.future.fail_if_pending(
-                ExecutorShutdown(f"pool {self.name!r} shut down before task {task.future.name!r} ran")
+                ExecutorShutdown(
+                    f"pool {self.name!r} shut down or broke before task {task.future.name!r} ran"
+                )
             )
-            return
-        if task.deadline_wall is not None:
-            self._watch_deadline(task.future, task.deadline_wall - time.time())
 
-    def _emit_cancel(self, future: Future) -> None:
-        if self.trace.enabled:
-            self.trace.event(
-                "cancel", future.name, task_id=future.meta.get("tid", 0),
-                exception=type(future.exception()).__name__,
-            )
-            self.trace.count(f"{self.name}.cancelled")
-
-    def _notify(self) -> None:
+    def _cancelled(self, future: Future) -> None:
+        """Trace a parent-side cancel and wake the feeder to drop the task."""
+        emit_cancel(self.trace, future, f"{self.name}.cancelled")
         with self._cond:
             self._cond.notify_all()
 
@@ -633,9 +587,7 @@ class ProcessPool(Executor):
                     if self.trace.enabled:
                         self.trace.count(f"{self.name}.cancelled")
                 elif kind == "deadline":
-                    future.set_exception(
-                        DeadlineExceeded(f"task {future.name!r} missed its deadline")
-                    )
+                    future.set_exception(missed_deadline(future))
                     if self.trace.enabled:
                         self.trace.count(f"{self.name}.cancelled")
             finally:
@@ -645,38 +597,6 @@ class ProcessPool(Executor):
             # Now, not at the next message: an exported array nobody
             # else holds parks its segment here.
             del task
-
-    # -- deadline reaper (parent side, pending futures only) -----------------
-
-    def _watch_deadline(self, future: Future, remaining: float) -> None:
-        expires = time.monotonic() + max(0.0, remaining)
-        with self._deadline_cond:
-            heapq.heappush(self._deadline_heap, (expires, next(self._deadline_seq), future))
-            if self._reaper is None:
-                self._reaper = threading.Thread(
-                    target=self._reaper_loop, name=f"{self.name}-reaper", daemon=True
-                )
-                self._reaper.start()
-            self._deadline_cond.notify()
-
-    def _reaper_loop(self) -> None:
-        while True:
-            with self._deadline_cond:
-                while not self._deadline_heap and not self._reaper_stop:
-                    self._deadline_cond.wait()
-                if self._reaper_stop:
-                    return
-                expires, _, future = self._deadline_heap[0]
-                delay = expires - time.monotonic()
-                if delay > 0:
-                    self._deadline_cond.wait(timeout=delay)
-                    continue
-                heapq.heappop(self._deadline_heap)
-            if future.done():
-                continue
-            if future.cancel(DeadlineExceeded(f"task {future.name!r} missed its deadline")):
-                self._emit_cancel(future)
-                self._notify()  # wake the feeder so the dead task is dropped
 
     # -- executor interface --------------------------------------------------
 
@@ -740,13 +660,8 @@ class ProcessPool(Executor):
                 stranded = list(self._ready)
                 self._ready.clear()
         for task in stranded:
-            if task.future.fail_if_pending(
-                ExecutorShutdown(
-                    f"pool {self.name!r} shut down before task {task.future.name!r} ran"
-                )
-            ) and self.trace.enabled:
-                self.trace.event("drain", task.future.name, task_id=task.tid)
-                self.trace.count(f"{self.name}.drained")
+            why = f"pool {self.name!r} shut down before task {task.future.name!r} ran"
+            strand(task.future, why, self.trace, f"{self.name}.drained")
         self._feeder.join(timeout=timeout)
 
         for _ in self._processes:
@@ -759,25 +674,13 @@ class ProcessPool(Executor):
         self._reclaimed.clear()
         # Anything still incomplete after the workers are gone (a crashed
         # worker's task) must not leave waiters hanging.
-        for tid, task in list(self._shipped.items()):
-            self._shipped.pop(tid, None)
-            if not task.future.done():
-                try:
-                    task.future.set_exception(
-                        ExecutorShutdown(f"worker exited before task {task.future.name!r} completed")
-                    )
-                except Exception:
-                    pass  # lost the race to a late completion: fine
+        self._fail_shipped(ExecutorShutdown(f"pool {self.name!r}: a worker exited before its task completed"))
 
         self._result_q.put(None)
         self._collector.join(timeout=timeout)
         # After the collector: it unlinks every result it consumes.
         _sweep_segments(self._oneshot_prefix)
-        with self._deadline_cond:
-            self._reaper_stop = True
-            self._deadline_cond.notify_all()
-        if self._reaper is not None:
-            self._reaper.join(timeout=timeout)
+        self._reaper.stop(timeout)
         self._channel.close()
 
         if self._shard_dir is not None:

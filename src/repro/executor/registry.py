@@ -69,36 +69,22 @@ class BackendCapabilities:
         reports virtual seconds — deterministic speedup *shapes*.
     out_of_process:
         Task bodies run outside the submitting process (argument/result
-        transport and cancellation cross a process boundary).
-    cancel / deadline / faults:
-        The task-lifecycle features of :mod:`repro.resilience` the
-        backend honours: queued-task cancellation via tokens, start
-        deadlines, and seeded :class:`~repro.resilience.FaultPlan`
-        injection.
+        transport and cancellation cross a process boundary), so a
+        worker can die under a task.  A dead worker marks the pool
+        broken: its in-flight and queued futures fail with
+        :class:`~repro.executor.base.ExecutorShutdown`, later submits
+        raise it, and nothing respawns.
     barriers:
         ``executor.barrier(key, parties)`` performs a real rendezvous.
+
+    Cancellation, deadlines and fault injection are no capability: every
+    backend keeps the lifecycle of :mod:`repro.executor.base`.
     """
 
     real_parallel: bool = False
     virtual_time: bool = False
     out_of_process: bool = False
-    cancel: bool = True
-    deadline: bool = True
-    faults: bool = True
     barriers: bool = True
-
-    def describe(self) -> str:
-        """Short ``+flag`` summary, e.g. ``"+real-parallel +out-of-process"``."""
-        names = (
-            ("real_parallel", "real-parallel"),
-            ("virtual_time", "virtual-time"),
-            ("out_of_process", "out-of-process"),
-            ("cancel", "cancel"),
-            ("deadline", "deadline"),
-            ("faults", "faults"),
-            ("barriers", "barriers"),
-        )
-        return " ".join(f"+{label}" for attr, label in names if getattr(self, attr))
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.executor.base import Executor
+from repro.executor.base import Executor, ExecutorShutdown, injected_fault, settle_unstarted
 from repro.executor.future import Future
 from repro.machine.graph import SegmentGraph
 from repro.machine.listsched import ScheduleResult, simulate_schedule
 from repro.machine.spec import MachineSpec
 from repro.obs import rtrace as _rtrace
 from repro.obs.trace import TraceRecorder, resolve_recorder
-from repro.resilience.cancel import CancelToken, DeadlineExceeded, scoped_token
-from repro.resilience.faults import FaultPlan, InjectedFault, resolve_faults
+from repro.resilience.cancel import CancelToken, scoped_token
+from repro.resilience.faults import FaultPlan, resolve_faults
 
 __all__ = ["SimExecutor", "SimFuture"]
 
@@ -145,13 +145,9 @@ class SimExecutor(Executor):
         deadline: float | None = None,
         **kwargs: Any,
     ) -> Future:
-        """Record the spawn, evaluate ``fn`` eagerly, return a done future.
-
-        Eager evaluation means only a token cancelled *before* submit (or
-        a non-positive ``deadline``) can stop the task; either way a
-        zero-cost segment is still recorded so the graph stays
-        consistent for dependants and joins.
-        """
+        """Record the spawn, evaluate ``fn`` eagerly, return a done future."""
+        if self._shut:
+            raise ExecutorShutdown("sim executor is shut down")
         if deadline is not None and deadline < 0:
             raise ValueError(f"deadline must be >= 0, got {deadline}")
         parent = self._top()
@@ -160,8 +156,6 @@ class SimExecutor(Executor):
         name = name or getattr(fn, "__name__", f"task{tid}")
 
         dep_sids = [parent.current_sid]
-        cancelled_dep: Future | None = None
-        failed_dep: BaseException | None = None
         for dep in after:
             last = dep.meta.get("last_sid")
             if last is None:
@@ -169,57 +163,27 @@ class SimExecutor(Executor):
                     f"task {name!r}: 'after' future {dep.name!r} was not produced by this SimExecutor"
                 )
             dep_sids.append(last)
-            if cancelled_dep is None and dep.cancelled():
-                cancelled_dep = dep
-            elif failed_dep is None:
-                exc = Future.exception(dep)  # plain read, no join recording
-                if exc is not None:
-                    failed_dep = exc
 
-        def skipped(suffix: str) -> SimFuture:
-            # Record a zero-cost segment so the graph stays consistent.
-            seg = self.graph.add(task_id=tid, name=f"{name}({suffix})", cost=0.0, deps=dep_sids)
-            skipped_fut = SimFuture(self, name=name)
-            skipped_fut.meta["last_sid"] = seg.sid
-            skipped_fut.meta["tid"] = tid
-            return skipped_fut
-
-        if cancelled_dep is not None:
-            # Cancellation cascades: a cancelled dep *cancels* the
-            # dependent — same contract as the other backends.
-            fut = skipped("dep-cancelled")
-            fut.cancel(f"dependency {cancelled_dep.name!r} was cancelled")
-            self._emit_cancel(fut)
-            return fut
-        if failed_dep is not None:
-            # A failed dependency fails the dependent task without
-            # running it.
-            fut = skipped("dep-failed")
-            fut.set_exception(failed_dep)
-            return fut
-        if cancel is not None and cancel.cancelled:
-            fut = skipped("cancelled")
-            fut.cancel(f"token {cancel.name!r} cancelled")
-            self._emit_cancel(fut)
-            return fut
-        if deadline == 0:
-            fut = skipped("deadline")
-            fut.cancel(DeadlineExceeded(f"task {name!r} missed its deadline"))
-            self._emit_cancel(fut)
-            return fut
-        if self.faults is not None and self.faults.should_fail_task("sim", tid):
-            if self.trace.enabled:
-                self.trace.event("fault", name, task_id=tid)
-                self.trace.count("sim.faults_injected")
-            fut = skipped("faulted")
-            fut.set_exception(InjectedFault(f"task {name!r} failed by fault plan"))
+        fut = SimFuture(self, name=name)
+        fut.meta["tid"] = tid
+        settled = (after or cancel is not None or deadline is not None) and settle_unstarted(
+            fut, after, cancel, deadline, self.trace, "sim.cancelled"
+        )
+        if not settled and self.faults is not None:
+            fault = injected_fault(self.faults, "sim", tid, name, self.trace, "sim.faults_injected")
+            if fault is not None:
+                fut.set_exception(fault)
+                settled = True
+        if settled:
+            # A task that never runs still gets a zero-cost segment, so
+            # dependants and joins find one.
+            seg = self.graph.add(task_id=tid, name=f"{name}(skipped)", cost=0.0, deps=dep_sids)
+            fut.meta["last_sid"] = seg.sid
             return fut
 
         first = self.graph.add(task_id=tid, name=name, cost=float(cost or 0.0), deps=dep_sids)
         self.trace.count("sim.tasks_recorded")
         ctx = _TaskCtx(task_id=tid, current_sid=first.sid)
-        fut = SimFuture(self, name=name)
-        fut.meta["tid"] = tid
         fut.try_start()
 
         self._stack.append(ctx)
@@ -241,16 +205,6 @@ class SimExecutor(Executor):
             fut.meta["rt_span"] = (0.0, float(cost or 0.0), 0)
         fut.set_result(value)
         return fut
-
-    def _emit_cancel(self, fut: SimFuture) -> None:
-        if self.trace.enabled:
-            self.trace.event(
-                "cancel",
-                fut.name,
-                task_id=fut.meta.get("tid", 0),
-                exception=type(Future.exception(fut)).__name__,
-            )
-            self.trace.count("sim.cancelled")
 
     def compute(self, cost: float) -> None:
         if cost < 0:

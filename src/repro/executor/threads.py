@@ -37,7 +37,6 @@ the serving gateway, so it is deliberately lean:
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import deque
@@ -47,13 +46,23 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.executor.base import Executor, ExecutorShutdown
+from repro.executor.base import (
+    DeadlineReaper,
+    Executor,
+    ExecutorShutdown,
+    emit_cancel,
+    emit_submit,
+    gate,
+    injected_fault,
+    missed_deadline,
+    strand,
+)
 from repro.executor.future import Future
 from repro.obs import rtrace as _rtrace
 from repro.obs.live.registry import REGISTRY, current_handle
 from repro.obs.trace import TraceRecorder, resolve_recorder
-from repro.resilience.cancel import CancelToken, DeadlineExceeded, ambient_stack
-from repro.resilience.faults import FaultPlan, InjectedFault, resolve_faults
+from repro.resilience.cancel import CancelToken, ambient_stack
+from repro.resilience.faults import FaultPlan, resolve_faults
 
 __all__ = ["WorkStealingPool", "PoolStats"]
 
@@ -105,15 +114,9 @@ class _PoolFuture(Future):
         if not super().cancel(reason):
             return False
         pool = self._pool
-        if pool.trace.enabled:
-            pool.trace.event(
-                "cancel",
-                self.name,
-                task_id=self.meta.get("tid", 0),
-                exception=type(self._exception).__name__,
-            )
-            pool.trace.count("pool.cancelled")
-        pool._notify_all()  # wake workers so the dead task is dropped promptly
+        emit_cancel(pool.trace, self, "pool.cancelled")
+        with pool._work_available:  # wake workers so the dead task is dropped promptly
+            pool._work_available.notify_all()
         return True
 
 
@@ -132,7 +135,6 @@ class WorkStealingPool(Executor):
         time_scale: float = 1.0,
         steal_seed: int = 0,
         name: str = "pool",
-        scheduling: str = "stealing",
         trace: TraceRecorder | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
@@ -150,10 +152,6 @@ class WorkStealingPool(Executor):
             Seconds of real time per reference-second of cost.
         steal_seed:
             Seed for each worker's victim-selection order.
-        scheduling:
-            ``"stealing"`` (per-worker deques, LIFO-own/FIFO-steal) or
-            ``"central"`` (one shared FIFO, no local queues) — the
-            structural ablation of the pool design.
         trace:
             Observability recorder (:mod:`repro.obs`); ``None`` picks up
             the ambient recorder (disabled by default).  When enabled the
@@ -173,14 +171,10 @@ class WorkStealingPool(Executor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         if compute_mode not in ("noop", "sleep", "spin"):
             raise ValueError(f"unknown compute_mode {compute_mode!r}")
-        if scheduling not in ("stealing", "central"):
-            raise ValueError(f"unknown scheduling {scheduling!r}")
         self.cores = workers
         self.name = name
         self.compute_mode = compute_mode
         self.time_scale = time_scale
-        self.scheduling = scheduling
-        self._stealing = scheduling == "stealing"
         self.trace = resolve_recorder(trace)
         self.faults = resolve_faults(faults)
 
@@ -213,13 +207,8 @@ class WorkStealingPool(Executor):
         else:
             self._worker_throttle = [1.0] * workers
 
-        # Deadline reaper: a heap of (abs_deadline, seq, future) serviced
-        # by one lazily started daemon thread that cancels overdue
-        # still-pending futures with DeadlineExceeded.
-        self._deadline_heap: list[tuple[float, int, Future]] = []
-        self._deadline_seq = 0
-        self._reaper: threading.Thread | None = None
-        self._reaper_wakeup = threading.Condition(self._mutex)
+        # _PoolFuture.cancel emits the cancel event and wakes the workers.
+        self._reaper = DeadlineReaper(name)
 
         # Live observability: queue depth is a *pull* gauge — nothing is
         # updated on push/pop; the sampler/exporter computes the depth at
@@ -271,7 +260,7 @@ class WorkStealingPool(Executor):
             tid = self._task_counter
             future.meta["tid"] = tid  # lets dependants trace their dep edges
             task = (fn, args, kwargs or _NO_KWARGS, future, tid, cost, None, None)
-            if self._stealing and worker is not None and worker[0] is self:
+            if worker is not None and worker[0] is self:
                 self._deques[worker[1]].append(task)  # LIFO for the owner
             else:
                 self._inbox.append(task)
@@ -308,60 +297,13 @@ class WorkStealingPool(Executor):
                 lambda: future.cancel(f"token {cancel.name!r} cancelled")
             )
         if abs_deadline is not None:
-            self._watch_deadline(abs_deadline, future)
+            self._reaper.watch(future, abs_deadline)
         if self.trace.enabled:
-            # Parent/dep task ids let the analyzer rebuild the task graph
-            # (work/span/critical path) from the event stream alone.
-            dep_tasks = [d.meta["tid"] for d in after if "tid" in d.meta]
-            self.trace.event(
-                "submit",
-                future.name,
-                task_id=tid,
-                parent=self.task_id(),
-                deps=len(after),
-                dep_tasks=dep_tasks,
-            )
-            self.trace.count("pool.submitted")
-
-        pending = [dep for dep in after if not dep.done()]
-        if not pending:
-            for dep in after:
-                if dep.cancelled():
-                    # Cancellation cascades: a cancelled dep *cancels*
-                    # the dependent (whose own cancellation cascades on).
-                    future.cancel(f"dependency {dep.name!r} was cancelled")
-                    return future
-                exc = dep.exception()
-                if exc is not None:
-                    future.fail_if_pending(exc)
-                    return future
+            emit_submit(self.trace, future, self.task_id(), after, "pool.submitted")
+        if after:
+            gate(future, after, lambda: self._enqueue(task))  # _PoolFuture.cancel traces
+        else:
             self._enqueue(task)
-            return future
-
-        # Dependence manager: enqueue once the last outstanding dep lands.
-        state_lock = threading.Lock()
-        remaining = [len(pending)]
-
-        def on_dep_done(dep: Future) -> None:
-            with state_lock:
-                if remaining[0] <= 0:
-                    return  # already failed/released
-                dead = dep.cancelled() or dep.exception() is not None
-                if dead:
-                    remaining[0] = 0
-                else:
-                    remaining[0] -= 1
-                    if remaining[0] > 0:
-                        return
-            if dep.cancelled():
-                future.cancel(f"dependency {dep.name!r} was cancelled")
-            elif dead:
-                future.fail_if_pending(dep.exception())
-            else:
-                self._enqueue(task)
-
-        for dep in pending:
-            dep.add_done_callback(on_dep_done)
         return future
 
     def submit_many(
@@ -416,7 +358,7 @@ class WorkStealingPool(Executor):
         with self._mutex:
             if self._shutdown:
                 raise ExecutorShutdown(f"pool {self.name!r} is shut down")
-            if self._stealing and worker is not None and worker[0] is self:
+            if worker is not None and worker[0] is self:
                 self._deques[worker[1]].extend(tasks)
             else:
                 self._inbox.extend(tasks)
@@ -448,10 +390,10 @@ class WorkStealingPool(Executor):
                     ExecutorShutdown(f"pool {self.name!r} is shut down")
                 )
                 return
-            if self._stealing and worker is not None and worker[0] is self:
+            if worker is not None and worker[0] is self:
                 self._deques[worker[1]].append(task)  # LIFO for the owner
             else:
-                self._inbox.append(task)  # external submit, or central mode
+                self._inbox.append(task)  # external submit
             if self._idle:
                 self._work_available.notify()
 
@@ -497,9 +439,7 @@ class WorkStealingPool(Executor):
         fn, args, kwargs, future, tid, _cost, token, deadline = task
         if deadline is not None and time.monotonic() > deadline:
             # Overdue at pop time: cancel rather than silently abandon.
-            future.cancel(
-                DeadlineExceeded(f"task {future.name!r} missed its deadline")
-            )
+            future.cancel(missed_deadline(future))
             return
         if not future.try_start():
             # Cancelled (token, deadline reaper, or dep cascade) while
@@ -508,14 +448,13 @@ class WorkStealingPool(Executor):
         trace = self.trace
         tracing = trace.enabled
         faults = self.faults
-        if faults is not None and faults.should_fail_task(self.name, tid):
-            if tracing:
-                trace.event("fault", future.name, task_id=tid, worker=wid)
-                trace.count("pool.faults_injected")
-            future.set_exception(
-                InjectedFault(f"task {future.name!r} failed by fault plan")
+        if faults is not None:
+            fault = injected_fault(
+                faults, self.name, tid, future.name, trace, "pool.faults_injected", worker=wid
             )
-            return
+            if fault is not None:
+                future.set_exception(fault)
+                return
         tid_stack.append(tid)
         # Live state: running <this task>.  begin/end save and restore the
         # previous scope, so a task executed *inside* a blocked join
@@ -534,7 +473,9 @@ class WorkStealingPool(Executor):
             tok_stack.append(token)
         try:
             value = fn(*args, **kwargs)
-        except Exception as exc:
+        except BaseException as exc:
+            # BaseException too (SystemExit, KeyboardInterrupt): the task
+            # fails, the worker lives on to run the next one.
             if pushed:
                 tok_stack.pop()
             if rt_t0 is not None:
@@ -656,51 +597,6 @@ class WorkStealingPool(Executor):
                 self.trace.count("pool.helped_joins")
             self._run_task(task, wid, handle, tid_stack, tok_stack)
 
-    def _notify_all(self) -> None:
-        with self._work_available:
-            self._work_available.notify_all()
-
-    # -- deadline reaper -----------------------------------------------------
-
-    def _watch_deadline(self, abs_deadline: float, future: Future) -> None:
-        """Register ``future`` for cancellation once ``abs_deadline`` passes.
-
-        The reaper thread starts lazily on the first deadline so pools
-        that never use deadlines pay nothing.
-        """
-        with self._mutex:
-            if self._shutdown:
-                return
-            self._deadline_seq += 1
-            heapq.heappush(self._deadline_heap, (abs_deadline, self._deadline_seq, future))
-            if self._reaper is None:
-                self._reaper = threading.Thread(
-                    target=self._reaper_loop, name=f"{self.name}-reaper", daemon=True
-                )
-                self._reaper.start()
-            self._reaper_wakeup.notify_all()
-
-    def _reaper_loop(self) -> None:
-        while True:
-            expired: list[Future] = []
-            with self._mutex:
-                if self._shutdown:
-                    return
-                now = time.monotonic()
-                heap = self._deadline_heap
-                while heap and heap[0][0] <= now:
-                    expired.append(heapq.heappop(heap)[2])
-                # Sleep to the next deadline, capped so shutdown is seen
-                # promptly even without a wakeup.
-                wait = min(heap[0][0] - now, 0.05) if heap else 0.05
-                if not expired:
-                    self._reaper_wakeup.wait(timeout=max(wait, 0.001))
-                    continue
-            for future in expired:
-                future.cancel(
-                    DeadlineExceeded(f"task {future.name!r} missed its deadline")
-                )
-
     # -- Executor interface --------------------------------------------------------
 
     def compute(self, cost: float) -> None:
@@ -813,8 +709,7 @@ class WorkStealingPool(Executor):
         """Stop the pool; idempotent.
 
         ``drain=True``: workers finish every already-queued task before
-        exiting (the historical behaviour, minus one bug — queued tasks
-        are no longer silently dropped with forever-pending futures).
+        exiting.
 
         ``drain=False``: queued-but-unstarted tasks are *not* run; their
         futures complete with :class:`ExecutorShutdown` so every waiter
@@ -842,24 +737,12 @@ class WorkStealingPool(Executor):
                         break
             self._shutdown = True
             self._work_available.notify_all()
-            self._reaper_wakeup.notify_all()
         for task in stranded:
-            # fail_if_pending: an external cancel() racing shutdown wins
-            # atomically — the future completes exactly once either way.
-            future = task[3]
-            if future.fail_if_pending(
-                ExecutorShutdown(
-                    f"task {future.name!r} stranded by non-draining shutdown "
-                    f"of pool {self.name!r}"
-                )
-            ) and self.trace.enabled:
-                self.trace.event("drain", future.name, task_id=task[4])
-                self.trace.count("pool.drained")
+            why = f"task {task[3].name!r} stranded by non-draining shutdown of pool {self.name!r}"
+            strand(task[3], why, self.trace, "pool.drained")
         for t in self._threads:
             t.join(timeout=timeout)
-        reaper = self._reaper
-        if reaper is not None:
-            reaper.join(timeout=timeout)
+        self._reaper.stop(timeout)
         self._queue_gauge.dispose()
 
     @property

@@ -403,6 +403,8 @@ def run_serve(
     keeps its null fast paths and reports stay byte-identical to
     pre-tracing goldens.
     """
+    if slo_window <= 0:  # before the replay, not after it
+        raise ValueError(f"window must be > 0, got {slo_window}")
     spec = LoadSpec(
         pattern, requests=requests, seed=seed, base_rate=base_rate, keyspace=keyspace
     )

@@ -57,3 +57,19 @@ def sum_after(seconds: float, arr: np.ndarray) -> float:
 def thread_env() -> dict[str, str | None]:
     """The native-thread variables as this worker process sees them."""
     return {var: os.environ.get(var) for var in THREAD_VARS}
+
+
+def exit_with(code: int) -> None:
+    """Raise ``SystemExit(code)``: a ``BaseException`` a task body can throw."""
+    raise SystemExit(code)
+
+
+def kill_worker(code: int, *_payload: object) -> None:
+    """End the process running this body at once, as a crash would."""
+    os._exit(code)
+
+
+def touch(path: str) -> None:
+    """Create ``path``: evidence, visible from any process, that the body ran."""
+    with open(path, "w"):
+        pass

@@ -56,11 +56,6 @@ class TestBuiltins:
         assert procs.real_parallel and procs.out_of_process and not procs.barriers
         assert get_backend("inline").single_core
 
-    def test_describe_lists_enabled_flags(self):
-        text = get_backend("processes").capabilities.describe()
-        assert "+real-parallel" in text and "+out-of-process" in text
-        assert "+barriers" not in text
-
     def test_get_backend_resolves_aliases(self):
         assert get_backend("thread").name == "threads"
         assert get_backend("virtual").name == "sim"

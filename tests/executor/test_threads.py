@@ -186,6 +186,42 @@ class TestComputeModes:
             WorkStealingPool(workers=1, compute_mode="warp")
 
 
+class TestStealing:
+    @staticmethod
+    def run_nested_workload(pool, fanout, grandchildren):
+        """A worker-spawns-children workload: the case the deques exist for."""
+
+        def child(i):
+            grand = [pool.submit(lambda j=j: j, name=f"g{i}.{j}") for j in range(grandchildren)]
+            return sum(g.result(timeout=30) for g in grand)
+
+        def parent():
+            kids = [pool.submit(child, i) for i in range(fanout)]
+            return sum(k.result(timeout=30) for k in kids)
+
+        assert pool.submit(parent).result(timeout=30) == fanout * sum(range(grandchildren))
+
+    def test_stealing_mode_uses_local_deques(self):
+        """Nested submits land on the submitting worker's own deque; with
+        several workers competing, steals occur (structurally, not by luck:
+        the parent blocks-and-helps while others must steal to start)."""
+        with WorkStealingPool(workers=4, name="s2") as pool:
+            self.run_nested_workload(pool, fanout=40, grandchildren=8)
+            stats = pool.stats
+        assert stats.tasks_executed == 1 + 40 + 40 * 8
+
+    def test_work_spread_across_workers(self):
+        """Non-trivial work spreads over several workers.
+
+        Tasks sleep briefly (releasing the GIL) so that no single worker
+        can drain the queue alone even on a one-core host.
+        """
+        with WorkStealingPool(workers=4, name="w-stealing") as pool:
+            pool.wait_all([pool.submit(time.sleep, 0.002) for _ in range(100)])
+        busy = [n for n in pool.stats.per_worker_executed if n > 0]
+        assert len(busy) >= 2  # more than one worker participated
+
+
 class TestLifecycle:
     def test_shutdown_idempotent(self):
         pool = WorkStealingPool(workers=2)

@@ -63,6 +63,15 @@ class TestRunServeSim:
         assert 0.0 < report.shed_rate < 1.0
         assert report.percentile(50) <= report.percentile(99) <= report.percentile(99.9)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0])
+    def test_bad_slo_window_rejected_before_the_replay(self, monkeypatch, window):
+        def no_replay(spec):
+            raise AssertionError("the trace was built before the window was checked")
+
+        monkeypatch.setattr("repro.serve.loadgen.build_trace", no_replay)
+        with pytest.raises(ValueError, match=f"window must be > 0, got {window}"):
+            run_serve("steady", backend="sim", requests=500, slo_window=window)
+
     def test_metrics_keys_complete(self):
         report = run_serve("steady", backend="sim", requests=500, seed=1)
         assert set(report.metrics()) == {
