@@ -22,7 +22,7 @@ def responsive_design():
     print("== Parallel Task design: scaling on the pool, updates via the EDT ==")
     images = make_image_folder(12, seed=7, min_side=48, max_side=96)
     with EventDispatchThread("demo-edt") as edt, create(
-        "threads", cores=4, compute_mode="sleep", time_scale=3e5
+        "threads", cores=4, compute_mode="sleep", time_scale=1e4
     ) as pool:
         window = Window(edt, "Thumbnails")
         listview = window.list_view("thumbs")

@@ -235,8 +235,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     run-history store.  ``--update-baseline`` pins this run instead of
     gating it.  Exit codes: 0 = no regressions, 1 = at least one gated
     metric moved the wrong way past the threshold (or the run shares no
-    gated metric with its baseline), 2 = unknown experiment or no pinned
-    baseline for it.
+    gated metric with its baseline), 2 = unknown experiment, a
+    ``--threshold`` the library rejects, or no pinned baseline for it.
     """
     from repro.obs import TraceRecorder, compare_to_baseline, use
     from repro.obs.store import RunRecord
@@ -244,6 +244,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     exp = _require_experiment(args.experiment)
     if exp is None:
         return 2
+    try:
+        compare_to_baseline(args.experiment, {}, {}, threshold=args.threshold)
+    except ValueError as exc:
+        return _usage_error(exc)
     pin = None
     if not args.update_baseline:
         pin = _pinned_baseline(args, args.experiment, f"compare {args.experiment}")
@@ -480,18 +484,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro.executor.factory import ExecutorConfig, get_backend
-    from repro.obs import evaluate_slo
+    from repro.obs import compare_to_baseline, evaluate_slo
     from repro.serve.loadgen import LoadSpec, run_serve
 
     try:
         objectives = _parse_objectives(args.objectives)
         # Build what the run builds from these flags (the trace spec, the
-        # executor config, an empty SLO evaluation), so a value the
-        # library rejects exits 2 before the run starts.
+        # executor config, an empty SLO evaluation and comparison), so a
+        # value the library rejects exits 2 before the run starts.
         LoadSpec(args.pattern, requests=args.requests, seed=args.seed, base_rate=args.rate)
         single_core = get_backend(args.backend).single_core
         ExecutorConfig(args.backend, cores=None if single_core else args.cores)
         evaluate_slo(None, (), window=args.slo_window)
+        compare_to_baseline(args.pattern, {}, {}, threshold=args.threshold)
     except ValueError as exc:
         return _usage_error(exc)
     slo_on = args.slo or objectives is not None
@@ -563,8 +568,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rc = 0
     comparison = None
     if pin is not None:
-        from repro.obs import compare_to_baseline
-
         comparison = compare_to_baseline(
             exp_id, report.metrics(), pin.metrics, threshold=args.threshold
         )
@@ -717,14 +720,24 @@ def _cmd_runs_timeline(args: argparse.Namespace) -> int:
 
     Exit codes: 0 = no change-points, 1 = at least one metric moved the
     bad way (direction-aware, the regression was *introduced* by a
-    flagged run), 2 = no stored history for the experiment.  ``-o``
+    flagged run), 2 = a ``--threshold`` or ``--limit`` the library
+    rejects, or no stored history for the experiment.  ``-o``
     writes the self-contained HTML timeline (sparkline lanes, no JS).
     """
     from repro.obs.store import RunStore
-    from repro.obs.timeline import build_timeline, render_timeline_html, render_timeline_text
+    from repro.obs.timeline import (
+        build_timeline,
+        detect_changepoints,
+        render_timeline_html,
+        render_timeline_text,
+    )
 
-    store = RunStore(args.store)
-    records = store.query(exp=args.experiment, since=args.since, limit=args.limit)
+    try:
+        detect_changepoints(args.experiment, (), threshold=args.threshold)
+        store = RunStore(args.store)
+        records = store.query(exp=args.experiment, since=args.since, limit=args.limit)
+    except ValueError as exc:
+        return _usage_error(exc)
     if not records:
         known = ", ".join(store.experiments()) or "none"
         print(

@@ -1,8 +1,8 @@
 """Execution backends shared by Parallel Task and Pyjama.
 
 Interchangeable executors implement the same :class:`Executor`
-interface; which ones exist is an open *registry*
-(:mod:`repro.executor.registry`), with four built-ins:
+interface.  The four backends are one closed table in
+:mod:`repro.executor.factory`:
 
 * :class:`~repro.executor.inline.InlineExecutor` — sequential reference
   semantics (tasks run at submit time on the caller);
@@ -21,40 +21,32 @@ interface; which ones exist is an open *registry*
 **Construction:** use the :func:`create` factory (or its declarative twin
 :class:`ExecutorConfig`) — it is the single front door that resolves core
 counts, machine models, observability (``trace=``) and fault plans
-uniformly across backends, and the only path that sees backends
-registered at runtime::
+uniformly across backends::
 
     from repro.executor import create
     ex = create("sim", cores=16)          # virtual time
     ex = create("processes", cores=4)     # real multi-core speedup
 
-New substrates register with :func:`register_backend` and immediately
-appear in :data:`KINDS` / :func:`available` and in ``create()``'s
-unknown-kind error listing.  Direct constructor imports remain supported
-for backward compatibility only; prefer ``create()``.
-``ThreadPoolExecutor`` is an alias of :class:`WorkStealingPool` (the name
-DESIGN.md's inventory uses for the real-threads backend).
+:func:`available` names the backends and :func:`get_backend` returns one
+:class:`Backend` row (aliases resolved) with its declared
+:class:`BackendCapabilities`.  Direct constructor imports remain
+supported for backward compatibility only; prefer ``create()``.
 """
 
 from repro.executor.base import Executor, ExecutorShutdown
-from repro.executor.factory import KINDS, ExecutorConfig, backend_override, create
-from repro.executor.future import CancelledError, Future, FutureError
-from repro.executor.inline import InlineExecutor
-from repro.executor.registry import (
+from repro.executor.factory import (
     Backend,
     BackendCapabilities,
+    ExecutorConfig,
     available,
-    backend_aliases,
+    backend_override,
+    create,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
+from repro.executor.future import CancelledError, Future, FutureError
+from repro.executor.inline import InlineExecutor
 from repro.executor.simulated import SimExecutor
 from repro.executor.threads import WorkStealingPool
-
-#: Backward/forward-compatible alias: the real-threads backend under the
-#: name used by DESIGN.md's package inventory.
-ThreadPoolExecutor = WorkStealingPool
 
 
 def __getattr__(name):
@@ -76,16 +68,11 @@ __all__ = [
     "SimExecutor",
     "WorkStealingPool",
     "ProcessPool",
-    "ThreadPoolExecutor",
     "create",
     "backend_override",
     "ExecutorConfig",
-    "KINDS",
     "Backend",
     "BackendCapabilities",
     "available",
-    "backend_aliases",
     "get_backend",
-    "register_backend",
-    "unregister_backend",
 ]

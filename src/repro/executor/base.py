@@ -53,8 +53,8 @@ __all__ = [
 
 
 class ExecutorShutdown(RuntimeError):
-    """Submit after shutdown, a task stranded by a non-draining one, or
-    any task of a pool broken by a dead worker."""
+    """Submit after shutdown, a task stranded by one, or any task of a
+    pool broken by a dead worker."""
 
 
 # -- the task lifecycle, shared by every backend --------------------------------
@@ -213,9 +213,10 @@ class DeadlineReaper:
             self._thread.join(timeout)
 
 
-def strand(future: Future, why: str, trace: TraceRecorder, counter: str) -> None:
-    """Fail a task that a non-draining shutdown left queued with
-    ``ExecutorShutdown(why)``; trace a ``drain`` event if that beat a racing cancel."""
+def strand(future: Future, pool: str, trace: TraceRecorder, counter: str) -> None:
+    """Fail a task that the shutdown of ``pool`` left queued with
+    :class:`ExecutorShutdown`; trace a ``drain`` event if that beat a racing cancel."""
+    why = f"task {future.name!r} stranded by shutdown of pool {pool!r}"
     if future.fail_if_pending(ExecutorShutdown(why)) and trace.enabled:
         trace.event("drain", future.name, task_id=future.meta["tid"])
         trace.count(counter)

@@ -13,11 +13,11 @@
 
 Every backend accepts the same cross-cutting arguments (``cores``,
 ``machine``, ``trace``, ``faults``) plus backend-specific options passed
-through ``**opts``.  Which kinds exist is no longer fixed here: backends
-live in the open registry (:mod:`repro.executor.registry`), this module
-merely registers the built-ins and validates configs against whatever is
-registered.  ``KINDS`` is a live view of the registry, so external
-registrations show up in it immediately.
+through ``**opts``.  The four backends are one closed table in this
+module, next to their builders: each :class:`Backend` row names its
+builder, its :class:`BackendCapabilities`, the options it accepts and
+its aliases.  :func:`get_backend` is the one lookup and
+:func:`available` lists the canonical names.
 
 The :class:`ExecutorConfig` dataclass is the declarative twin: it
 validates eagerly, can be stored and compared, and
@@ -36,28 +36,74 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.executor.base import Executor
 from repro.executor.inline import InlineExecutor
-from repro.executor.registry import (
-    BackendCapabilities,
-    KindsView,
-    get_backend,
-    register_backend,
-    resolve_kind,
-)
 from repro.executor.simulated import SimExecutor
 from repro.executor.threads import WorkStealingPool
 from repro.machine.spec import PARC64, MachineSpec
 from repro.obs.trace import TraceRecorder
 from repro.resilience.faults import FaultPlan
 
-__all__ = ["create", "ExecutorConfig", "KINDS", "backend_override"]
+__all__ = [
+    "Backend", "BackendCapabilities", "ExecutorConfig", "available", "backend_override",
+    "create", "get_backend",
+]
 
-#: Live, read-only sequence of registered backend kinds (aliases resolve
-#: via ``create()``; see :func:`repro.executor.registry.backend_aliases`).
-KINDS = KindsView()
+
+@dataclass(frozen=True)
+class BackendCapabilities:
+    """What an execution substrate can do, declared up front.
+
+    Parameters
+    ----------
+    virtual_time:
+        The backend schedules declared costs on a machine model and
+        reports virtual seconds — deterministic speedup *shapes*.
+    out_of_process:
+        Task bodies run outside the submitting process (argument/result
+        transport and cancellation cross a process boundary), so a
+        worker can die under a task.  A dead worker marks the pool
+        broken: its in-flight and queued futures fail with
+        :class:`~repro.executor.base.ExecutorShutdown`, later submits
+        raise it, and nothing respawns.  The ambient token
+        (:func:`~repro.resilience.current_token`) does not cross the
+        process boundary: a body sees a worker-local token, which a
+        cancel of the submitted token reaches by message.
+    barriers:
+        ``executor.barrier(key, parties)`` performs a real rendezvous.
+
+    Cancellation, deadlines and fault injection are no capability: every
+    backend keeps the lifecycle of :mod:`repro.executor.base`.
+    """
+
+    virtual_time: bool = False
+    out_of_process: bool = False
+    barriers: bool = True
+
+
+@dataclass(frozen=True)
+class Backend:
+    """One execution substrate: a row of the backend table.
+
+    ``builder`` receives the validated :class:`ExecutorConfig` and returns
+    a live :class:`~repro.executor.base.Executor`.  ``options`` is the
+    closed set of backend-specific keyword options the config accepts for
+    this kind (unknown options are rejected eagerly at config time).
+    ``single_core`` marks definitionally sequential backends (they reject
+    ``cores`` other than 1); ``accepts_machine`` is False for backends
+    that have no use for a :class:`~repro.machine.spec.MachineSpec` at
+    all (machine-driven *defaults* are handled by the builder).
+    """
+
+    name: str
+    builder: Callable[[ExecutorConfig], Executor] = field(compare=False)
+    capabilities: BackendCapabilities = field(default_factory=BackendCapabilities)
+    options: frozenset[str] = frozenset()
+    aliases: tuple[str, ...] = ()
+    single_core: bool = False
+    accepts_machine: bool = True
 
 
 @dataclass(frozen=True)
@@ -67,10 +113,9 @@ class ExecutorConfig:
     Parameters
     ----------
     kind:
-        Any registered backend name or alias (``"inline"``, ``"threads"``
-        / ``"pool"``, ``"sim"`` / ``"simulated"`` / ``"virtual"``,
-        ``"processes"`` / ``"mp"`` out of the box); normalised to the
-        canonical name.
+        A backend name or alias (``"inline"``, ``"threads"`` /
+        ``"pool"``, ``"sim"`` / ``"simulated"`` / ``"virtual"``,
+        ``"processes"`` / ``"mp"``); normalised to the canonical name.
     cores:
         Worker count (threads/processes) or simulated core count (sim).
         Defaults: threads and processes 4; sim takes the machine's core
@@ -88,7 +133,7 @@ class ExecutorConfig:
         :func:`repro.resilience.use_faults`) — normally no faults.
     options:
         Backend-specific keyword options, validated eagerly against the
-        registered backend's declared option set.
+        backend's declared option set.
     """
 
     kind: str
@@ -99,9 +144,9 @@ class ExecutorConfig:
     options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        kind = resolve_kind(self.kind)  # raises "unknown executor kind ..." with the full listing
+        backend = get_backend(self.kind)  # raises "unknown executor kind ..." with the full listing
+        kind = backend.name
         object.__setattr__(self, "kind", kind)
-        backend = get_backend(kind)
         if self.cores is not None and self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
         unknown = set(self.options) - set(backend.options)
@@ -131,12 +176,12 @@ class ExecutorConfig:
         return default
 
     def build(self) -> Executor:
-        """Construct the configured executor via its registered builder."""
+        """Construct the configured executor via its backend's builder."""
         return get_backend(self.kind).builder(self)
 
 
 # ---------------------------------------------------------------------------
-# Built-in backend registrations.
+# The four backends.
 
 
 def _build_inline(cfg: ExecutorConfig) -> Executor:
@@ -161,44 +206,62 @@ def _build_processes(cfg: ExecutorConfig) -> Executor:
     )
 
 
-register_backend(
-    "inline",
-    _build_inline,
-    capabilities=BackendCapabilities(),
-    single_core=True,
-    accepts_machine=False,
-    summary="sequential reference semantics; tasks run at submit time on the caller",
+_BACKENDS = (
+    Backend("inline", _build_inline, single_core=True, accepts_machine=False),
+    Backend(
+        "threads",
+        _build_threads,
+        options=frozenset({"compute_mode", "time_scale", "steal_seed", "name"}),
+        aliases=("pool", "thread"),
+    ),
+    Backend(
+        "sim",
+        _build_sim,
+        BackendCapabilities(virtual_time=True),
+        options=frozenset({"policy"}),
+        aliases=("simulated", "virtual"),
+    ),
+    Backend(
+        "processes",
+        _build_processes,
+        BackendCapabilities(out_of_process=True, barriers=False),
+        options=frozenset({"name", "prefetch", "shm_threshold"}),
+        aliases=("mp", "process"),
+    ),
 )
-register_backend(
-    "threads",
-    _build_threads,
-    capabilities=BackendCapabilities(),
-    options=("compute_mode", "time_scale", "steal_seed", "name"),
-    aliases=("pool", "thread"),
-    summary="real OS threads with work-stealing deques and blocked-join helping (GIL-bound)",
-)
-register_backend(
-    "sim",
-    _build_sim,
-    capabilities=BackendCapabilities(virtual_time=True),
-    options=("policy",),
-    aliases=("simulated", "virtual"),
-    summary="eager values plus virtual-time scheduling on a MachineSpec",
-)
-register_backend(
-    "processes",
-    _build_processes,
-    capabilities=BackendCapabilities(real_parallel=True, out_of_process=True, barriers=False),
-    options=("name", "prefetch", "shm_threshold"),
-    aliases=("mp", "process"),
-    summary="spawned worker processes with a shared-memory NumPy data plane (no GIL)",
-)
+_BY_KIND = {kind: b for b in _BACKENDS for kind in (b.name, *b.aliases)}
+
+
+def get_backend(kind: str) -> Backend:
+    """The :class:`Backend` for ``kind``, a canonical name or an alias.
+
+    Unknown kinds raise ``ValueError`` naming every backend *and* its
+    aliases, so the error is self-documenting::
+
+        unknown executor kind 'gpu'; registered backends: inline,
+        processes (aliases: mp, process), sim (aliases: simulated,
+        virtual), threads (aliases: pool, thread)
+    """
+    backend = _BY_KIND.get(kind)
+    if backend is None:
+        listing = ", ".join(
+            b.name + (f" (aliases: {', '.join(sorted(b.aliases))})" if b.aliases else "")
+            for b in sorted(_BACKENDS, key=lambda b: b.name)
+        )
+        raise ValueError(f"unknown executor kind {kind!r}; registered backends: {listing}")
+    return backend
+
+
+def available() -> tuple[str, ...]:
+    """Canonical names of the four backends, in table order."""
+    return tuple(b.name for b in _BACKENDS)
 
 
 # ---------------------------------------------------------------------------
 # Ambient backend redirection (the CLI's --backend/--cores option group).
 
-_REDIRECTABLE = frozenset({"inline", "threads", "processes"})
+#: Every backend without a virtual clock: the kinds ``backend_override`` redirects.
+_REDIRECTABLE = frozenset(b.name for b in _BACKENDS if not b.capabilities.virtual_time)
 
 _override_local = threading.local()
 
@@ -207,13 +270,13 @@ _override_local = threading.local()
 def backend_override(kind: str | None = None, cores: int | None = None) -> Iterator[None]:
     """Redirect ``create()`` calls for *real* backends inside the block.
 
-    While active, any ``create()`` of a redirectable kind (``inline``,
-    ``threads``, ``processes``) builds ``kind`` instead (with ``cores``
-    workers when given); options the target backend does not accept are
-    dropped rather than raising, so existing call sites keep working.
-    Virtual-time (``sim``) call sites are deliberately left alone —
-    experiments interrogate sim-specific APIs (``elapsed()``,
-    ``schedule()``) that no real backend provides.
+    While active, any ``create()`` of a backend without ``virtual_time``
+    (``inline``, ``threads``, ``processes``) builds ``kind`` instead
+    (with ``cores`` workers when given); options the target backend does
+    not accept are dropped rather than raising, so existing call sites
+    keep working.  Virtual-time (``sim``) call sites are deliberately
+    left alone — experiments interrogate sim-specific APIs
+    (``elapsed()``, ``schedule()``) that no real backend provides.
 
     This is how ``python -m repro <cmd> --backend processes --cores 4``
     retargets every real executor an experiment builds without each
@@ -222,8 +285,8 @@ def backend_override(kind: str | None = None, cores: int | None = None) -> Itera
     if cores is not None and cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")
     if kind is not None:
-        kind = resolve_kind(kind)
-        if get_backend(kind).capabilities.virtual_time:
+        kind = get_backend(kind).name
+        if kind not in _REDIRECTABLE:
             raise ValueError(
                 f"backend override cannot target the virtual-time backend {kind!r}; "
                 f"it redirects real execution (e.g. {sorted(_REDIRECTABLE)})"
@@ -273,7 +336,7 @@ def create(
 
     See :class:`ExecutorConfig` for parameter semantics.  Unknown kinds
     and options raise ``ValueError`` eagerly, naming what is accepted
-    (including every registered backend and its aliases).
+    (including every backend and its aliases).
     """
     cfg = ExecutorConfig(
         kind=kind, cores=cores, machine=machine, trace=trace, faults=faults, options=dict(opts)

@@ -660,8 +660,7 @@ class ProcessPool(Executor):
                 stranded = list(self._ready)
                 self._ready.clear()
         for task in stranded:
-            why = f"pool {self.name!r} shut down before task {task.future.name!r} ran"
-            strand(task.future, why, self.trace, f"{self.name}.drained")
+            strand(task.future, self.name, self.trace, f"{self.name}.drained")
         self._feeder.join(timeout=timeout)
 
         for _ in self._processes:

@@ -125,7 +125,7 @@ class WorkStealingPool(Executor):
 
     .. note:: prefer ``repro.executor.create("threads", cores=N, ...)``
        over this constructor; the direct form stays supported for
-       backward compatibility (``ThreadPoolExecutor`` is an alias).
+       backward compatibility.
     """
 
     def __init__(
@@ -738,8 +738,7 @@ class WorkStealingPool(Executor):
             self._shutdown = True
             self._work_available.notify_all()
         for task in stranded:
-            why = f"task {task[3].name!r} stranded by non-draining shutdown of pool {self.name!r}"
-            strand(task[3], why, self.trace, "pool.drained")
+            strand(task[3], self.name, self.trace, "pool.drained")
         for t in self._threads:
             t.join(timeout=timeout)
         self._reaper.stop(timeout)

@@ -1,6 +1,6 @@
 """The task lifecycle of ``executor/base.py``, held against every backend.
 
-Each case runs on every registered backend (``registry.available()``).
+Each case runs on every backend (``repro.executor.available()``).
 Cases branch only on declared capabilities and on what a backend can be
 seen to do (is a future already done when ``submit`` returns?), never
 on a backend's name.  Task bodies come from ``spawn_tasks`` or the
@@ -25,11 +25,10 @@ from repro.resilience import (
     DeadlineExceeded,
     FaultPlan,
     InjectedFault,
+    current_token,
 )
 
 from tests.executor import spawn_tasks
-
-KINDS = available()
 
 
 def make(kind: str, cores: int = 2, **kwargs):
@@ -64,19 +63,22 @@ def psm_segments() -> set[str]:
     return {p.name for p in Path("/dev/shm").glob("psm_*")}
 
 
-@pytest.fixture(scope="module", params=KINDS)
+@pytest.fixture(scope="module", params=available())
 def backend(request):
     return get_backend(request.param)
 
 
 @pytest.fixture(scope="module")
 def ex(backend):
-    """One executor per backend, shared by the cases that leave it usable."""
+    """One executor per backend, shared by the cases that leave it usable;
+    no shared-memory segment outlives it."""
+    before = psm_segments()
     with make(backend.name) as executor:
         yield executor
+    assert psm_segments() - before == set()
 
 
-@pytest.fixture(params=KINDS)
+@pytest.fixture(params=available())
 def kind(request):
     """A backend name, for cases that need a fresh executor."""
     return request.param
@@ -96,12 +98,14 @@ class TestAfter:
             dependent.result(timeout=10)
         assert dependent.cancelled()
 
-    def test_failed_dependency_fails_the_dependent(self, ex):
+    def test_failed_dependency_fails_the_dependent(self, ex, tmp_path):
+        mark = tmp_path / "ran"
         dep = ex.submit(spawn_tasks.fail_after, 0.1, name="dep")
-        dependent = ex.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
+        dependent = ex.submit(spawn_tasks.touch, str(mark), name="dependent", after=[dep])
         with pytest.raises(RuntimeError, match="dependency failed"):
             dependent.result(timeout=10)
         assert not dependent.cancelled()
+        assert not mark.exists(), "the dependent of a failed task ran"
 
     @pytest.mark.parametrize("first", ["cancelled", "failed"])
     def test_first_bad_dependency_in_order_settles(self, ex, first):
@@ -120,7 +124,8 @@ class TestAfter:
     )
     @given(data=st.data())
     def test_cancel_closure_property(self, ex, data):
-        """Cancelling one DAG node cancels exactly its downstream closure;
+        """Cancelling one DAG node, by its token or by ``future.cancel()``
+        while every node waits, cancels exactly its downstream closure;
         every other node still runs."""
         n = data.draw(st.integers(min_value=3, max_value=8), label="n")
         edges = {
@@ -136,11 +141,18 @@ class TestAfter:
                 closure.add(i)
 
         root = ex.submit(time.sleep, 0.02, name="root")  # pool nodes wait on it
+        # Where tasks wait (eager backends run root at submit), the victim
+        # may instead be cancelled through its future behind a pending gate.
+        by_future = data.draw(st.booleans(), label="by_future") and not root.done()
+        gate = Future("gate") if by_future else root
         futs = []
         for i in range(n):
-            deps = [root, *(futs[p] for p in range(i) if (p, i) in edges)]
-            token = cancelled_token() if i == victim else None
+            deps = [gate, *(futs[p] for p in range(i) if (p, i) in edges)]
+            token = cancelled_token() if i == victim and not by_future else None
             futs.append(ex.submit(int, i, name=f"n{i}", after=deps, cancel=token))
+        if by_future:
+            assert futs[victim].cancel("victim")
+            gate.set_result(None)
         for i, fut in enumerate(futs):
             if i in closure:
                 with pytest.raises(CancelledError):
@@ -167,12 +179,18 @@ class TestCancel:
         by_future = ex.submit(spawn_tasks.touch, str(marks[2]))
         token.cancel("user aborted")
         assert by_future.cancel("changed my mind")
-        for fut in [*by_token, by_future]:
-            with pytest.raises(CancelledError):
+        for fut, why in zip([*by_token, by_future], ["'batch'", "'batch'", "changed my mind"]):
+            with pytest.raises(CancelledError, match=why):
                 fut.result(timeout=10)
         for h in holders:
             h.result(timeout=10)
         assert not any(m.exists() for m in marks)
+
+    def test_running_task_sees_its_token(self, ex, backend):
+        if backend.capabilities.out_of_process:
+            pytest.skip("the ambient token does not cross the process boundary")
+        token = CancelToken("coop")
+        assert ex.submit(current_token, cancel=token).result(timeout=10) is token
 
 
 class TestDeadline:
@@ -190,7 +208,7 @@ class TestDeadline:
             pytest.skip("tasks run at submit: nothing waits in a queue")
         start = time.monotonic()
         late = ex.submit(int, 1, name="late", deadline=0.05)
-        with pytest.raises(DeadlineExceeded):
+        with pytest.raises(DeadlineExceeded, match="missed its deadline"):
             late.result(timeout=10)
         # cancelled while every worker is still busy, not when one frees up
         assert time.monotonic() - start < 0.5
@@ -213,8 +231,9 @@ class TestDeadline:
 
 class TestExceptions:
     def test_exception_propagates(self, ex):
+        fut = ex.submit(spawn_tasks.fail_after, 0.0)  # held by the future, never raised by submit
         with pytest.raises(RuntimeError, match="dependency failed"):
-            ex.submit(spawn_tasks.fail_after, 0.0).result(timeout=10)
+            fut.result(timeout=10)
 
     def test_system_exit_fails_the_future_and_workers_live_on(self, ex):
         try:
@@ -250,18 +269,20 @@ class TestShutdown:
         holders = hold(ex, 0.3)
         queued = [ex.submit(int, i, name=f"q{i}") for i in range(4)]
         ex.shutdown(drain=False)
-        outcomes = []
+        assert all(h.done() for h in holders or ()), "shutdown returned before a running task ended"
         for fut in queued:
             assert fut.done(), "non-draining shutdown left a future pending"
             exc = fut.exception(timeout=0)
-            assert exc is None or isinstance(exc, ExecutorShutdown)
-            outcomes.append(exc is None)
-        if holders is not None:
-            assert not any(outcomes), "a task queued behind busy workers ran"
+            if holders is None:  # ran at submit
+                assert exc is None
+            else:  # queued behind busy workers: stranded, never run
+                assert isinstance(exc, ExecutorShutdown)
+                assert str(exc).startswith(f"task {fut.name!r} stranded by shutdown of pool ")
 
     def test_submit_after_shutdown_raises(self, kind):
         ex = make(kind)
         ex.shutdown()
+        ex.shutdown()  # idempotent
         with pytest.raises(ExecutorShutdown):
             ex.submit(int, 1)
         with pytest.raises(ExecutorShutdown):

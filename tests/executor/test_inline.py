@@ -14,40 +14,10 @@ class TestInlineExecutor:
         assert f.done()
         assert f.result() == "r"
 
-    def test_exception_captured(self):
-        ex = InlineExecutor()
-
-        def boom():
-            raise ValueError("x")
-
-        f = ex.submit(boom)
-        assert f.done()
-        with pytest.raises(ValueError):
-            f.result()
-
     def test_args_kwargs(self):
         ex = InlineExecutor()
         f = ex.submit(lambda a, b=0: a + b, 1, b=2)
         assert f.result() == 3
-
-    def test_after_done_dependency_ok(self):
-        ex = InlineExecutor()
-        f1 = ex.submit(lambda: 1)
-        f2 = ex.submit(lambda: 2, after=[f1])
-        assert f2.result() == 2
-
-    def test_after_failed_dependency_propagates(self):
-        ex = InlineExecutor()
-
-        def boom():
-            raise RuntimeError("dep failed")
-
-        f1 = ex.submit(boom)
-        ran = []
-        f2 = ex.submit(lambda: ran.append(1), after=[f1])
-        assert ran == []  # dependent never ran
-        with pytest.raises(RuntimeError, match="dep failed"):
-            f2.result()
 
     def test_nested_submits(self):
         ex = InlineExecutor()

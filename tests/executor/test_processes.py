@@ -9,26 +9,17 @@ backend asks of applications.
 from __future__ import annotations
 
 import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.apps.kernels.matmul import matmul_tasks
 from repro.apps.sorting import quicksort_chunks
-from repro.executor import ExecutorShutdown, create
+from repro.executor import create
 from repro.executor.processes import usable_cpus
 from repro.obs import TraceRecorder
-from repro.resilience import (
-    CancelledError,
-    CancelToken,
-    DeadlineExceeded,
-    FaultPlan,
-    InjectedFault,
-)
+from repro.resilience import FaultPlan, InjectedFault
 
-from tests.executor import spawn_tasks
 from tests.executor.spawn_tasks import THREAD_VARS, thread_env
 
 
@@ -70,10 +61,6 @@ class TestResults:
         with pytest.raises(RuntimeError, match="no cross-process barriers"):
             pool.barrier("phase", 2)
 
-    def test_negative_deadline_rejected(self, pool):
-        with pytest.raises(ValueError, match="deadline"):
-            pool.submit(np.sum, np.arange(3), deadline=-1.0)
-
 
 class TestTraceShards:
     def test_merged_trace_attributes_work_to_worker_processes(self):
@@ -97,25 +84,6 @@ class TestTraceShards:
 
 
 class TestLifecycle:
-    def test_cancel_while_queued(self):
-        with create("processes", cores=1, prefetch=1) as ex:
-            blocker = ex.submit(time.sleep, 0.4, name="blocker")
-            token = CancelToken("stop")
-            queued = [ex.submit(time.sleep, 0.2, name=f"q{i}", cancel=token) for i in range(4)]
-            token.cancel("user clicked stop")
-            for f in queued:
-                with pytest.raises(CancelledError):
-                    f.result(timeout=10)
-            assert blocker.result(timeout=10) is None
-
-    def test_deadline_on_queued_task(self):
-        with create("processes", cores=1, prefetch=1) as ex:
-            ex.submit(time.sleep, 0.5, name="hog")
-            ex.submit(time.sleep, 0.5, name="hog2")
-            late = ex.submit(time.sleep, 0.05, name="late", deadline=0.15)
-            with pytest.raises(DeadlineExceeded):
-                late.result(timeout=10)
-
     def test_seeded_faults_are_deterministic_across_processes(self):
         plan = FaultPlan(seed=7, task_failure_rate=0.4)
 
@@ -134,61 +102,6 @@ class TestLifecycle:
         first, second = outcomes(), outcomes()
         assert first == second
         assert "fault" in first and "ok" in first
-
-    def test_shutdown_without_drain_strands_queued_tasks(self):
-        ex = create("processes", cores=1, prefetch=1)
-        ex.submit(time.sleep, 0.3, name="running")
-        stranded = [ex.submit(time.sleep, 0.2, name=f"s{i}") for i in range(4)]
-        ex.shutdown(drain=False)
-        hit = 0
-        for f in stranded:
-            try:
-                f.result(timeout=5)
-            except ExecutorShutdown:
-                hit += 1
-        assert hit == len(stranded)
-
-    def test_submit_after_shutdown_raises(self):
-        ex = create("processes", cores=1)
-        ex.shutdown()
-        with pytest.raises(ExecutorShutdown):
-            ex.submit(np.sum, np.arange(3))
-
-
-class TestAfter:
-    """``after`` holds a dependent in the parent until its dependencies
-    are done, and carries a dependency's cancellation or failure over."""
-
-    @pytest.fixture(scope="class")
-    def pool(self):
-        def segments():
-            return {p.name for p in Path("/dev/shm").glob("psm_*")}
-
-        before = segments()
-        with create("processes", cores=2) as ex:
-            yield ex
-        assert segments() - before == set()
-
-    def test_dependent_starts_after_the_dependency_finished(self, pool):
-        dep = pool.submit(spawn_tasks.now_after, 0.5, name="dep")
-        # the second worker is idle: only the dependency edge holds this back
-        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
-        assert dependent.result(timeout=10) >= dep.result(timeout=10)
-
-    def test_cancelled_dependency_cancels_the_dependent(self, pool):
-        gate = pool.submit(spawn_tasks.now_after, 0.5, name="gate")
-        dep = pool.submit(spawn_tasks.now_after, 0.0, name="dep", after=[gate])
-        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
-        assert dep.cancel("stop")
-        with pytest.raises(CancelledError, match="dependency 'dep' was cancelled"):
-            dependent.result(timeout=10)
-        gate.result(timeout=10)
-
-    def test_failed_dependency_fails_the_dependent(self, pool):
-        dep = pool.submit(spawn_tasks.fail_after, 0.2, name="dep")
-        dependent = pool.submit(spawn_tasks.now_after, 0.0, name="dependent", after=[dep])
-        with pytest.raises(RuntimeError, match="dependency failed"):
-            dependent.result(timeout=10)
 
 
 class TestConfigSurface:

@@ -1,59 +1,37 @@
-"""The open backend registry: registration, aliases, capabilities, KINDS."""
+"""The backend table: the four backends, their aliases and capabilities,
+the unknown-kind error, and the ambient backend override."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.executor import (
-    KINDS,
     ExecutorConfig,
     InlineExecutor,
     available,
-    backend_aliases,
     backend_override,
     create,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
-from repro.executor.registry import BackendCapabilities
-
-
-def _build_fake(cfg):
-    ex = InlineExecutor(trace=cfg.trace, faults=cfg.faults)
-    ex.config_seen = cfg  # lets tests assert what the builder received
-    return ex
-
-
-@pytest.fixture
-def fake_backend():
-    backend = register_backend(
-        "fakeback",
-        _build_fake,
-        capabilities=BackendCapabilities(real_parallel=True, barriers=False),
-        options=("colour",),
-        aliases=("fb", "fakey"),
-        summary="test double",
-    )
-    yield backend
-    unregister_backend("fakeback")
+from repro.executor.factory import _apply_override
 
 
 class TestBuiltins:
     def test_builtins_registered(self):
-        assert set(available()) >= {"inline", "threads", "sim", "processes"}
+        assert available() == ("inline", "threads", "sim", "processes")
 
     def test_builtin_aliases(self):
-        aliases = backend_aliases()
-        assert aliases["pool"] == "threads"
-        assert aliases["simulated"] == "sim"
-        assert aliases["mp"] == "processes"
+        assert {name: get_backend(name).aliases for name in available()} == {
+            "inline": (),
+            "threads": ("pool", "thread"),
+            "sim": ("simulated", "virtual"),
+            "processes": ("mp", "process"),
+        }
 
     def test_capability_declarations(self):
         assert get_backend("sim").capabilities.virtual_time
-        assert not get_backend("sim").capabilities.real_parallel
         procs = get_backend("processes").capabilities
-        assert procs.real_parallel and procs.out_of_process and not procs.barriers
+        assert procs.out_of_process and not procs.barriers and not procs.virtual_time
         assert get_backend("inline").single_core
 
     def test_get_backend_resolves_aliases(self):
@@ -61,73 +39,15 @@ class TestBuiltins:
         assert get_backend("virtual").name == "sim"
 
 
-class TestRegistration:
-    def test_registered_backend_is_creatable(self, fake_backend):
-        ex = create("fakeback", colour="red")
-        assert ex.config_seen.kind == "fakeback"
-        assert ex.config_seen.options == {"colour": "red"}
-        assert ex.submit(lambda: 41).result() == 41
-
-    def test_aliases_create_too(self, fake_backend):
-        assert create("fb").config_seen.kind == "fakeback"
-        assert create("fakey").config_seen.kind == "fakeback"
-
-    def test_kinds_view_is_live(self, fake_backend):
-        assert "fakeback" in KINDS
-        assert KINDS == tuple(available())
-        assert len(KINDS) == len(available())
-        assert KINDS[-1] == "fakeback"  # registration order
-
-    def test_unregister_removes_kind_and_aliases(self, fake_backend):
-        unregister_backend("fakeback")
-        try:
-            with pytest.raises(ValueError, match="unknown executor kind 'fakeback'"):
-                create("fakeback")
-            with pytest.raises(ValueError, match="unknown executor kind 'fb'"):
-                create("fb")
-        finally:  # leave the fixture something to tear down
-            register_backend("fakeback", _build_fake, aliases=("fb", "fakey"))
-
-    def test_duplicate_name_rejected(self, fake_backend):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("fakeback", _build_fake)
-
-    def test_alias_collision_rejected(self, fake_backend):
-        with pytest.raises(ValueError, match="collides"):
-            register_backend("otherback", _build_fake, aliases=("fb",))
-        assert "otherback" not in available()
-
-    def test_alias_shadowing_backend_name_rejected(self):
-        with pytest.raises(ValueError, match="collides"):
-            register_backend("shadower", _build_fake, aliases=("inline",))
-
-    def test_replace_swaps_registration(self, fake_backend):
-        register_backend("fakeback", _build_fake, aliases=("fb2",), replace=True)
-        aliases = backend_aliases()
-        assert aliases.get("fb2") == "fakeback"
-        assert "fb" not in aliases  # old aliases dropped on replace
-        register_backend(
-            "fakeback", _build_fake, aliases=("fb", "fakey"), replace=True
-        )  # restore for teardown
-
-    def test_name_must_be_identifier(self):
-        with pytest.raises(ValueError, match="identifier"):
-            register_backend("no good", _build_fake)
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(ValueError, match="not registered"):
-            unregister_backend("neverwas")
-
-
 class TestUnknownKindError:
     def test_error_lists_backends_and_aliases(self):
         with pytest.raises(ValueError) as err:
             create("gpu")
-        message = str(err.value)
-        assert "unknown executor kind 'gpu'" in message
-        for name in ("inline", "threads", "sim", "processes"):
-            assert name in message
-        assert "mp" in message and "simulated" in message  # aliases listed
+        assert str(err.value) == (
+            "unknown executor kind 'gpu'; registered backends: inline, "
+            "processes (aliases: mp, process), sim (aliases: simulated, virtual), "
+            "threads (aliases: pool, thread)"
+        )
 
 
 class TestBackendOverride:
@@ -173,11 +93,10 @@ class TestBackendOverride:
         finally:
             ex.shutdown()
 
-    def test_override_is_config_validated(self, fake_backend):
-        cfg = ExecutorConfig(kind="threads", cores=2)
-        with backend_override(kind="fakeback"):
-            from repro.executor.factory import _apply_override
-
-            redirected = _apply_override(cfg)
-        assert redirected.kind == "fakeback"
+    def test_override_is_config_validated(self):
+        cfg = ExecutorConfig(kind="threads", cores=2, options={"compute_mode": "sleep"})
+        with backend_override(kind="mp"):
+            redirected = _apply_override(cfg)  # a config, not a pool: nothing spawns
+        assert redirected.kind == "processes"
         assert redirected.cores == 2
+        assert redirected.options == {}

@@ -17,17 +17,6 @@ class TestValues:
         f = ex.submit(lambda a, b: a * b, 6, 7, cost=1.0)
         assert f.result() == 42
 
-    def test_exceptions_surface_at_result(self):
-        ex = SimExecutor(machine(4))
-
-        def boom():
-            raise KeyError("k")
-
-        f = ex.submit(boom, cost=1.0)
-        assert f.done()
-        with pytest.raises(KeyError):
-            f.result()
-
     def test_nested_tasks(self):
         ex = SimExecutor(machine(4))
 

@@ -1,7 +1,10 @@
 """Tests for task groups."""
 
+import time
+
 import pytest
 
+from repro.executor import Future
 from repro.ptask import TaskGroup
 
 
@@ -64,3 +67,38 @@ class TestTaskGroup:
         g = TaskGroup()
         assert g.done()
         assert g.join() == []
+
+    def test_join_timeout_is_one_budget(self):
+        """Regression-adjacent: joining N unfinished futures with a timeout
+        must spend one shared budget, not timeout-per-future."""
+        group = TaskGroup("g")
+        for i in range(3):
+            group.add(Future(f"never{i}"))
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            group.join(timeout=0.3)
+        assert time.monotonic() - start < 0.9
+
+    def test_cancel_all_counts(self):
+        group = TaskGroup("g")
+        done = Future("done")
+        done.set_result(1)
+        group.add(done)
+        pending = [group.add(Future(f"p{i}")) for i in range(3)]
+        assert group.cancel_all("abort") == 3
+        for fut in pending:
+            assert fut.cancelled()
+        assert done.result() == 1
+
+    def test_join_cancel_on_timeout(self):
+        group = TaskGroup("g")
+        hung = group.add(Future("hung"))
+        with pytest.raises(TimeoutError):
+            group.join(timeout=0.05, cancel_on_timeout=True)
+        assert hung.cancelled()
+
+    def test_runtime_spawn_into_group(self, pool_rt):
+        group = TaskGroup("work")
+        for i in range(4):
+            group.add(pool_rt.spawn(lambda i=i: i + 10, name=f"w{i}"))
+        assert sorted(group.join(timeout=5.0)) == [10, 11, 12, 13]

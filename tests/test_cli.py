@@ -192,11 +192,22 @@ class TestArgparse:
             (["analyze", "abl_sched", "--max-events", "0"], "max_events must be >= 1"),
             (["analyze", "abl_sched", "--backend", "processes", "--cores", "0"], "cores must be >= 1"),
             (["chaos", "proj10", "--failure-rate", "1.5"], "failure_rate must be in [0, 1]"),
+            (
+                ["compare", "abl_sched", "--threshold", "-1", "--no-record"],
+                "threshold must be non-negative",
+            ),
+            (
+                ["serve", "overload", "--requests", "2000", "--compare", "--threshold", "-1"],
+                "threshold must be non-negative",
+            ),
+            (["runs", "timeline", "serve_steady_sim", "--threshold", "0"], "threshold must be positive"),
+            (["runs", "timeline", "serve_steady_sim", "--limit", "0"], "limit must be >= 1"),
         ],
         ids=[
             "flame-repeat", "flame-interval", "serve-requests", "serve-cores-sim",
             "serve-cores-threads", "serve-rate", "serve-slo-window", "analyze-max-events",
-            "analyze-cores", "chaos-failure-rate",
+            "analyze-cores", "chaos-failure-rate", "compare-threshold", "serve-threshold",
+            "timeline-threshold", "timeline-limit",
         ],
     )
     def test_out_of_range_value_exits_2(self, argv, message, capsys):
