@@ -7,8 +7,8 @@ traffic patterns replay through :func:`repro.serve.run_serve` on the
 simulated backend, so the whole table (throughput, tail latency, hit
 rate, shed rate) is a deterministic function of the seed:
 
-* ``steady``  — the happy path: no shedding, batching amortises
-  dispatch, the modeled cache absorbs the hot keys;
+* ``steady``  — the happy path: no shedding, a batch waits for company
+  only while every core is busy, the modeled cache absorbs the hot keys;
 * ``bursty``  — 3x peaks: the token bucket sheds the burst overhang
   while tail latency stays bounded;
 * ``overload`` — a ramp past capacity: queue-depth backpressure takes

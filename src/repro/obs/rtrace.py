@@ -19,7 +19,8 @@ end-to-end number can never disagree (the hypothesis property in
 admit      admission decision (zero-width in driven mode)
 cache      cache lookup; for coalesced followers, the whole wait on
            the in-flight leader
-batch      waiting for the micro-batch to close (company or age-out)
+batch      waiting for the micro-batch to close (a free core, company or
+           age-out)
 queue      closed batch waiting for a free core / pool worker
 execute    the batch body running (virtual cost under sim, measured
            where it actually ran on real backends)

@@ -10,7 +10,8 @@ package layers a high-throughput front door over any
 - :mod:`~repro.serve.admission` — token-bucket rate limiting and
   queue-depth backpressure (overload sheds with ``Rejected``);
 - :mod:`~repro.serve.batching` — micro-batching of small homogeneous
-  requests under a max-size/max-delay policy;
+  requests: a batch closes at once while a core is free, and otherwise
+  waits for company under a max-size/max-delay policy;
 - :mod:`~repro.serve.cache` — a memoizing result cache: real
   thread-safe LRU+TTL with single-flight on the real backends, a seeded
   hit-rate model (Occam's ``fsm_cache`` direction) under sim;

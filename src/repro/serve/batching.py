@@ -2,15 +2,21 @@
 
 Small tasks (a matmul panel, a thumbnail, a text-search shard) pay more
 in per-task overhead than in work.  The batcher groups *same-kind*
-requests into one executor task under a classic two-knob policy:
+requests into one executor task.  Waiting for company only pays while
+the pool is busy, so the gateway closes batches by Nagle's rule
+(RFC 896):
 
-* ``max_size`` — a batch closes as soon as it holds this many requests;
-* ``max_delay`` — an open batch closes once its oldest request has
-  waited this long, bounding the latency cost of waiting for company.
+* while fewer than ``executor.cores`` batches are in flight, the oldest
+  open batch closes at once, whatever its kind
+  (:meth:`MicroBatcher.close_oldest`);
+* otherwise a batch waits for company, bounded by the policy's two
+  knobs: ``max_size`` closes it as soon as it holds this many requests,
+  ``max_delay`` once its oldest request has waited this long.
 
-``max_size=1`` (or ``max_delay=0``) degenerates to one-task-per-request,
-which is how the equivalence tests pin that batching changes *when*
-work runs, never *what* it computes.
+So batching amortises dispatch when the pool is saturated and costs no
+latency when it is not.  ``max_size=1`` (or ``max_delay=0``)
+degenerates to one-task-per-request, which is how the equivalence tests
+pin that batching changes *when* work runs, never *what* it computes.
 
 :func:`run_batch` is the module-level body the gateway submits — it must
 be importable by name so the processes backend can pickle it.  Failures
@@ -33,6 +39,10 @@ __all__ = ["Batch", "BatchPolicy", "MicroBatcher", "run_batch", "run_batch_timed
 
 @dataclass(frozen=True)
 class BatchPolicy:
+    """How long a batch may wait for company once every core is busy:
+    until it holds ``max_size`` requests, or its oldest request has
+    waited ``max_delay`` seconds."""
+
     max_size: int = 8
     max_delay: float = 0.002
 
@@ -113,6 +123,16 @@ class MicroBatcher:
         if not self._open:
             return None
         return min(o.opened_at for o in self._open.values()) + self.policy.max_delay
+
+    def close_oldest(self) -> Batch | None:
+        """Close and return the batch that opened first (the one
+        :meth:`next_deadline` times), whatever its kind; None when no
+        batch is open."""
+        if not self._open:
+            return None
+        open_ = min(self._open.values(), key=lambda o: o.opened_at)
+        del self._open[open_.kind]
+        return Batch(open_.kind, open_.requests, open_.opened_at)
 
     def flush(self) -> list[Batch]:
         """Close everything (drain path)."""

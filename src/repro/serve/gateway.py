@@ -10,7 +10,13 @@ Every request walks one state machine — admit → cache → batch →
 dispatch → resolve.  It has one dispatch step (``_dispatch_locked``),
 one place where a dispatched batch is resolved (``_complete_locked``,
 which also releases the followers coalesced on a batch's cache keys),
-and one follower map.  Only the *completion source* differs, and the
+and one follower map.  It also has one close rule (Nagle's, RFC 896):
+while fewer than ``executor.cores`` batches are in flight, the oldest
+open batch closes and dispatches at once (``_fill_locked``); only while
+every core is busy does a batch wait for ``max_size`` or ``max_delay``.
+A slot can open only when a request joins or a batch resolves, so the
+rule is checked after ``submit`` adds a request and at the end of
+``_complete_locked``.  Only the *completion source* differs, and the
 executor picks it (``gateway.mode``):
 
 * **driven** (inline/sim, virtual time) — the gateway owns a
@@ -19,12 +25,15 @@ executor picks it (``gateway.mode``):
   *executes* eagerly at dispatch (real values come back); only time is
   modeled: each batch's outcome goes onto a heap keyed by its virtual
   finish time and is delivered when the clock gets there, like the
-  Occam ``Runner``'s ``ev_queue``.  A seeded arrival trace therefore
+  Occam ``Runner``'s ``ev_queue``.  Age-outs and completions are walked
+  in time order, so a batch that finishes at ``f`` hands its core to
+  the oldest open batch at ``f``.  A seeded arrival trace therefore
   yields byte-identical latency/shed/hit numbers on every run.
 * **thread** (threads/processes, wall time) — a dispatcher thread ages
   out open batches on the real clock, each dispatch goes to the
   executor as one ``submit_many`` call, and completions arrive through
-  the futures' done-callbacks; latency is measured wall time.
+  the futures' done-callbacks, which also refill the freed slot on the
+  thread that resolved the future; latency is measured wall time.
 
 Overload can only shed, never block: ``submit`` returns a resolved
 ``Rejected`` ticket instead of queueing past the admission limits, and
@@ -124,6 +133,11 @@ class Gateway:
     every other backend is thread.  A cache belongs to one gateway:
     requests coalesced on an in-flight key wait in the gateway that
     admitted them.
+
+    A batch waits for company only while ``executor.cores`` of this
+    gateway's batches are in flight; below that the oldest open batch
+    dispatches at once.  The count is per gateway: two gateways sharing
+    one pool do not see each other's batches.
     """
 
     def __init__(
@@ -161,9 +175,13 @@ class Gateway:
         self._waiters: dict[str, list[_Request]] = {}
         # unresolved admitted requests (drain waits on these)
         self._live: dict[int, _Request] = {}
+        # batches dispatched and not yet resolved (a retry keeps its
+        # slot); an open batch waits only while this is at _cores
+        self._cores = max(1, executor.cores)
+        self._inflight = 0
         # driven source: per-core earliest-free times, and one
         # (finish, seq, survivors, outcome, attempts) entry per batch
-        self._core_free = [self.clock.now()] * max(1, executor.cores)
+        self._core_free = [self.clock.now()] * self._cores
         self._completions: list[tuple[float, int, list[_Request], Any, int]] = []
         self._seq = 0
         self._dispatcher: threading.Thread | None = None
@@ -251,7 +269,9 @@ class Gateway:
             batch = self._batcher.add(req, now)
             if batch is not None:
                 self._dispatch_locked([batch], now)
-            elif self.mode == "thread":
+            self._fill_locked(now)
+            if self.mode == "thread" and self._batcher.pending():
+                # a batch stays open: the dispatcher re-reads its deadline
                 self._wake.notify_all()
         return ticket
 
@@ -484,6 +504,7 @@ class Gateway:
                 self._resolve_locked(req, response)
             if not survivors:
                 continue
+            self._inflight += 1
             self.stats.batches += 1
             self.trace.count("serve.batches")
             self.trace.observe("serve.batch_occupancy", len(survivors))
@@ -497,6 +518,16 @@ class Gateway:
         if ready:
             self._send_thread(ready, 1)
 
+    def _fill_locked(self, now: float) -> None:
+        """While a core is free, close the oldest open batch and dispatch
+        it at ``now``.  One batch at a time: a batch whose requests were
+        all cancelled or past their deadline takes no slot."""
+        while self._inflight < self._cores:
+            batch = self._batcher.close_oldest()
+            if batch is None:
+                return
+            self._dispatch_locked([batch], now)
+
     def _complete_locked(
         self, survivors: list[_Request], outcome: Any, at: float, attempts: int
     ) -> None:
@@ -505,7 +536,8 @@ class Gateway:
         ``outcome`` is ``run_batch``'s ``(status, value)`` pair per
         request, or the exception that failed the whole batch.  Each
         request settles its cache key (releasing its coalesced
-        followers) before its own ticket resolves.
+        followers) before its own ticket resolves.  The batch's slot is
+        then free, and the oldest open batch takes it at ``at``.
         """
         if isinstance(outcome, BaseException):
             outcome = [("err", outcome)] * len(survivors)
@@ -522,6 +554,8 @@ class Gateway:
                 if ok
                 else Failed(value, latency=latency, attempts=attempts),
             )
+        self._inflight -= 1
+        self._fill_locked(at)
 
     def _emit_retry(self, name: str, attempt: int, exc: BaseException) -> None:
         self.stats.retries += 1
@@ -534,17 +568,29 @@ class Gateway:
     # ------------------------------------------------- driven source (heap)
 
     def _advance_locked(self, now: float) -> None:
-        """Dispatch the batches that aged out by ``now``, then deliver
-        every completion on the heap that is due."""
-        for batch in sorted(self._batcher.due(now), key=lambda b: b.opened_at):
-            # dispatch at the instant the batch aged out, not at "now":
-            # the latency model should not depend on how often we pump
-            self._dispatch_locked(
-                [batch], batch.opened_at + self._batcher.policy.max_delay
-            )
-        while self._completions and self._completions[0][0] <= now:
-            finish, _, survivors, outcome, attempts = heapq.heappop(self._completions)
-            self._complete_locked(survivors, outcome, finish, attempts)
+        """Walk the events due by ``now`` in time order.
+
+        The next event is the earliest completion on the heap (its
+        ``_complete_locked`` refills the freed core at the finish time)
+        or the oldest open batch aging out, whichever comes first; a
+        completion wins a tie.  An aged-out batch dispatches at its
+        deadline, not at ``now``, so the latency model does not depend
+        on how often the clock is pumped, and it is closed as the oldest
+        batch rather than re-tested against its age: at the deadline,
+        ``now - opened_at`` can round below ``max_delay``.
+        """
+        while True:
+            deadline = self._batcher.next_deadline()
+            finish = self._completions[0][0] if self._completions else None
+            if finish is not None and finish <= now and (
+                deadline is None or finish <= deadline
+            ):
+                _, _, survivors, outcome, attempts = heapq.heappop(self._completions)
+                self._complete_locked(survivors, outcome, finish, attempts)
+            elif deadline is not None and deadline <= now:
+                self._dispatch_locked([self._batcher.close_oldest()], deadline)
+            else:
+                return
 
     def _send_driven(self, survivors: list[_Request], t: float) -> None:
         """Run the batch now on the eager executor, with immediate

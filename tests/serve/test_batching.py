@@ -48,6 +48,18 @@ class TestMicroBatcher:
         b.add(Req("panel"), 0.1)
         assert b.next_deadline() == pytest.approx(0.6)
 
+    def test_close_oldest_takes_the_earliest_batch_whatever_its_kind(self):
+        b = MicroBatcher(BatchPolicy(max_size=10, max_delay=0.5))
+        assert b.close_oldest() is None
+        b.add(Req("thumb"), 0.2)
+        b.add(Req("panel"), 0.1)  # opened second, but earlier in time
+        b.add(Req("thumb"), 0.3)
+        first = b.close_oldest()
+        assert (first.kind, first.opened_at, first.size) == ("panel", 0.1, 1)
+        second = b.close_oldest()
+        assert (second.kind, second.opened_at, second.size) == ("thumb", 0.2, 2)
+        assert b.close_oldest() is None and b.pending() == 0
+
     def test_flush_closes_everything(self):
         b = MicroBatcher(BatchPolicy(max_size=10, max_delay=0.5))
         b.add(Req("panel"), 0.0)

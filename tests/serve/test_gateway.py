@@ -6,6 +6,7 @@ package (``repro.serve.loadgen.panel_body``) — the same spawn-safety
 discipline the backend asks of applications.
 """
 
+import sys
 import threading
 
 import pytest
@@ -25,6 +26,27 @@ from repro.serve.requests import Completed, Failed, Rejected
 
 def small_batches() -> BatchPolicy:
     return BatchPolicy(max_size=4, max_delay=0.001)
+
+
+#: virtual seconds a sim holder keeps its core: longer than any test pumps
+HOLD_COST = 1000.0
+
+
+def hold_every_core(gateway: Gateway) -> threading.Event:
+    """Occupy every core with a one-request batch of kind ``hold``, so
+    the requests that follow wait for company as they do under load (on
+    an idle pool a batch dispatches at once).
+
+    Under sim each holder costs ``HOLD_COST`` virtual seconds.  On
+    threads each parks its worker on the returned event: set it once
+    the held requests may run, and before the executor shuts down.
+    Holders bypass the cache and count toward the queue depth.
+    """
+    release = threading.Event()
+    body = release.wait if gateway.mode == "thread" else int
+    for _ in range(gateway.executor.cores):
+        gateway.submit(body, task="hold", key=None, cost=HOLD_COST)
+    return release
 
 
 class Memo:
@@ -77,22 +99,75 @@ class TestSameSemanticsEveryBackend:
             gateway = Gateway(
                 executor, batching=BatchPolicy(max_size=4, max_delay=5.0)
             )
+            release = hold_every_core(gateway)
             tickets = [
                 gateway.submit(panel_body, k, task="panel") for k in range(4)
             ]
+            release.set()
             resp = gateway.result(tickets[0], timeout=10.0)
             gateway.shutdown()
         assert isinstance(resp, Completed) and resp.batch_size == 4
 
 
+class TestCloseRule:
+    """A batch waits for company only while every core is busy (sim,
+    exact virtual times; ``pump`` rather than ``drain``/``result``,
+    which flush open batches and would hide the wait)."""
+
+    def test_idle_pool_dispatches_a_lone_request_at_once(self):
+        with create("sim", cores=2) as executor:
+            gateway = Gateway(executor, batching=BatchPolicy(max_size=8, max_delay=5.0))
+            ticket = gateway.submit(panel_body, 1, task="panel", key=None, cost=0.25)
+            gateway.pump(now=1.0)
+            assert ticket.done()
+            resp = ticket.response()
+            gateway.shutdown()
+        assert isinstance(resp, Completed)
+        assert resp.latency == 0.25 and resp.batch_size == 1
+
+    def test_oldest_open_batch_takes_the_first_free_core_whatever_its_kind(self):
+        with create("sim", cores=2) as executor:
+            gateway = Gateway(executor, batching=BatchPolicy(max_size=8, max_delay=5.0))
+            gateway.submit(int, task="hold", key=None, cost=1.0)
+            gateway.submit(int, task="hold", key=None, cost=1.5)
+            gateway.pump(now=0.1)
+            a = gateway.submit(panel_body, 1, task="a", key=None, cost=1.0)
+            gateway.pump(now=0.2)
+            b = gateway.submit(panel_body, 2, task="b", key=None, cost=1.0)
+            gateway.pump(now=2.5)
+            assert a.done() and b.done()
+            gateway.shutdown()
+        # a takes the core freed at 1.0, b the one freed at 1.5
+        assert a.response().latency == 1.0 + 1.0 - 0.1
+        assert b.response().latency == 1.5 + 1.0 - 0.2
+        assert a.response().batch_size == b.response().batch_size == 1
+
+    def test_batches_fill_while_every_core_is_busy(self):
+        # 100 req/s of one kind against 2 cores that serve 20 req/s in
+        # batches of 4: the pool never idles after the first two requests
+        with create("sim", cores=2) as executor:
+            gateway = Gateway(executor, batching=BatchPolicy(max_size=4, max_delay=10.0))
+            tickets = []
+            for i in range(42):
+                gateway.pump(now=i * 0.01)
+                tickets.append(gateway.submit(panel_body, i, task="panel", key=None, cost=0.1))
+            gateway.pump(now=100.0)
+            sizes = [t.response().batch_size for t in tickets if t.done()]
+            gateway.shutdown()
+        assert sizes == [1, 1] + [4] * 40
+        assert gateway.stats.batches == 2 + 10
+
+
 class TestAdmission:
     def test_queue_depth_sheds_typed(self):
         with create("sim") as executor:
+            # the holders count toward the depth: 3 places are left
             gateway = Gateway(
                 executor,
-                admission=AdmissionPolicy(max_queue=3),
+                admission=AdmissionPolicy(max_queue=3 + executor.cores),
                 batching=BatchPolicy(max_size=100, max_delay=10.0),
             )
+            hold_every_core(gateway)
             tickets = [gateway.submit(panel_body, k, key=None) for k in range(5)]
             responses = [t.response(0.1) if t.done() else None for t in tickets]
             shed = [r for r in responses if isinstance(r, Rejected)]
@@ -133,6 +208,7 @@ class TestLifecycle:
         token = CancelToken(name="client-gone")
         with create("sim") as executor:
             gateway = Gateway(executor, batching=BatchPolicy(max_size=10, max_delay=0.5))
+            hold_every_core(gateway)
             ticket = gateway.submit(panel_body, 1, key=None, cancel=token)
             token.cancel()
             gateway.drain()
@@ -143,6 +219,7 @@ class TestLifecycle:
     def test_deadline_rejects_when_dispatch_is_late(self):
         with create("sim") as executor:
             gateway = Gateway(executor, batching=BatchPolicy(max_size=10, max_delay=1.0))
+            hold_every_core(gateway)
             ticket = gateway.submit(panel_body, 1, key=None, deadline=0.5)
             gateway.pump(now=2.0)  # batch ages out at t=1.0 > deadline
             resp = ticket.response(1.0)
@@ -165,6 +242,7 @@ class TestLifecycle:
             gateway = Gateway(
                 executor, batching=BatchPolicy(max_size=1000, max_delay=100.0)
             )
+            hold_every_core(gateway)
             tickets = [gateway.submit(panel_body, k, key=None) for k in range(7)]
             gateway.shutdown(drain=False)
             responses = [t.response(1.0) for t in tickets]
@@ -325,20 +403,23 @@ class TestSingleFlightThroughGateway:
     both completion sources and share their leader's outcome."""
 
     @staticmethod
-    def gateway(executor) -> Gateway:
-        # the long max_delay keeps the leader queued until drain or
-        # shutdown, so both followers arrive while its key is in flight
-        return Gateway(
+    def gateway(executor) -> tuple[Gateway, threading.Event]:
+        # busy cores and the long max_delay keep the leader queued until
+        # the holders are released, drain or shutdown, so both followers
+        # arrive while its key is in flight
+        gateway = Gateway(
             executor,
             cache=LRUTTLCache(capacity=8),
             batching=BatchPolicy(max_size=8, max_delay=10.0),
         )
+        return gateway, hold_every_core(gateway)
 
     def test_followers_share_the_leaders_single_run(self, backend):
         memo = Memo()
         with create(backend) as executor:
-            gateway = self.gateway(executor)
+            gateway, release = self.gateway(executor)
             tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
+            release.set()
             gateway.drain()
             leader, *followers = [t.response(timeout=10.0) for t in tickets]
             gateway.shutdown()
@@ -352,8 +433,9 @@ class TestSingleFlightThroughGateway:
     def test_leader_failure_fails_followers_and_next_request_leads(self, backend):
         memo = Memo(fail_first=True)
         with create(backend) as executor:
-            gateway = self.gateway(executor)
+            gateway, release = self.gateway(executor)
             tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
+            release.set()
             gateway.drain()
             responses = [t.response(timeout=10.0) for t in tickets]
             again = gateway.submit(memo, 7, task="memo")
@@ -367,9 +449,10 @@ class TestSingleFlightThroughGateway:
     def test_shutdown_rejects_queued_leader_and_fails_followers(self, backend):
         memo = Memo()
         with create(backend) as executor:
-            gateway = self.gateway(executor)
+            gateway, release = self.gateway(executor)
             tickets = [gateway.submit(memo, 7, task="memo") for _ in range(3)]
             gateway.shutdown(drain=False)
+            release.set()
             leader, *followers = [t.response(timeout=5.0) for t in tickets]
         assert isinstance(leader, Rejected) and leader.reason == "shutdown"
         assert all(
@@ -406,3 +489,35 @@ class TestThreadModeConcurrency:
         flat = [r for rs in results for r in rs]
         assert len(flat) == 100
         assert all(isinstance(r, Completed) for r in flat)
+
+    def test_inflight_count_survives_racing_clients_and_callbacks(self):
+        # more clients than cores and a short switch interval, so submits
+        # and done-callbacks interleave; a lost update of the in-flight
+        # count would strand an open batch or leave the count off zero
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with create("threads", cores=2) as executor:
+                gateway = Gateway(executor, batching=BatchPolicy(max_size=4, max_delay=0.05))
+                results: list[list] = [[] for _ in range(6)]
+
+                def client(i: int) -> None:
+                    tickets = [
+                        gateway.submit(panel_body, j, task="ab"[j % 2], key=None)
+                        for j in range(50)
+                    ]
+                    results[i] = [t.response(10.0) for t in tickets]
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=20.0)
+                assert not any(t.is_alive() for t in threads)
+                with gateway._lock:
+                    assert gateway._inflight == 0 and gateway._batcher.pending() == 0
+                gateway.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        flat = [r for rs in results for r in rs]
+        assert len(flat) == 300 and all(isinstance(r, Completed) for r in flat)

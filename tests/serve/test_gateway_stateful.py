@@ -96,6 +96,13 @@ class GatewayLifecycle(RuleBasedStateMachine):
                     assert resp.value == key * 11
 
     @invariant()
+    def an_open_batch_means_every_core_is_busy(self):
+        gateway = self.gateway
+        with gateway._lock:
+            if gateway._batcher.pending():
+                assert gateway._inflight >= gateway.executor.cores
+
+    @invariant()
     def memoized_bodies_run_at_most_once(self):
         with self.runs_lock:
             runs = dict(self.runs)
