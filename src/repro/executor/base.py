@@ -353,18 +353,6 @@ class Executor(abc.ABC):
         """
         self._shut = True
 
-    def signal(self, name: str, value: Any = True) -> None:
-        """Broadcast an out-of-band named flag to wherever tasks run.
-
-        In-process backends need nothing — task bodies see the caller's
-        globals already — so the default is a no-op.  The processes
-        backend forwards the signal over its cancel pipes and worker
-        processes record it via :func:`repro.obs.rtrace.set_worker_signal`
-        (the serving gateway uses this to switch per-request execution
-        tracing on inside workers).  Best-effort and fire-and-forget:
-        callers must not rely on delivery ordering with queued tasks.
-        """
-
     # -- conveniences shared by all backends --------------------------------
 
     def submit_many(

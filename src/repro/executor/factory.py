@@ -69,8 +69,11 @@ class BackendCapabilities:
         :class:`~repro.executor.base.ExecutorShutdown`, later submits
         raise it, and nothing respawns.  The ambient token
         (:func:`~repro.resilience.current_token`) does not cross the
-        process boundary: a body sees a worker-local token, which a
-        cancel of the submitted token reaches by message.
+        process boundary: a body sees a worker-local token of the
+        submitted token's name (or ``None`` if none was submitted),
+        which a cancel of the submitted token reaches by message.  A
+        body cannot return that token: it holds a lock, which does not
+        pickle.
     barriers:
         ``executor.barrier(key, parties)`` performs a real rendezvous.
 

@@ -9,13 +9,11 @@ on the thread pool and under simulation.  The equivalence tests in
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.executor.base import Executor, ExecutorShutdown, injected_fault, settle_unstarted
 from repro.executor.future import Future
-from repro.obs import rtrace as _rtrace
 from repro.obs.trace import TraceRecorder, resolve_recorder
 from repro.resilience.cancel import CancelToken, scoped_token
 from repro.resilience.faults import FaultPlan, resolve_faults
@@ -89,18 +87,12 @@ class InlineExecutor(Executor):
                 parent=prev, dep_tasks=dep_tasks,
             )
             trace.count("inline.tasks")
-        rt_t0 = time.monotonic() if _rtrace.active() is not None else None
         try:
             with scoped_token(cancel):
                 value = fn(*args, **kwargs)
         except Exception as exc:
-            if rt_t0 is not None:
-                # stamp before completion: done-callbacks read the meta
-                future.meta["rt_span"] = (rt_t0, time.monotonic(), 0)
             future.set_exception(exc)
         else:
-            if rt_t0 is not None:
-                future.meta["rt_span"] = (rt_t0, time.monotonic(), 0)
             future.set_result(value)
         finally:
             self._current_task = prev

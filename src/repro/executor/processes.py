@@ -17,8 +17,10 @@ Design notes
   it via ``try_start()`` and ships it to the worker queue.  Shipping is
   bounded (``workers * prefetch`` in flight), so a genuine cancellable
   window exists even under load.
-* **Cross-process cancel.**  Once shipped, a cancel becomes a message:
-  the parent broadcasts on per-worker pipes
+* **Cross-process cancel.**  A task submitted with a token runs under
+  a worker-local token of the same name (a task without one sees no
+  token).  Once shipped, a cancel becomes a message: the parent
+  broadcasts on per-worker pipes, which carry nothing else
   (:class:`~repro.resilience.remote.RemoteCancelChannel`); a listener
   thread in each worker cancels the worker-local token of a running
   task, or pre-cancels one that has not started (see
@@ -71,7 +73,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -88,7 +90,6 @@ from repro.executor.base import (
     strand,
 )
 from repro.executor.future import Future
-from repro.obs import rtrace
 from repro.obs.shards import merge_shards, replay_into, shard_path
 from repro.obs.sinks import JsonlSink
 from repro.obs.trace import TraceRecorder, resolve_recorder
@@ -170,6 +171,7 @@ class _Task:
     args: tuple[Any, ...]
     kwargs: dict[str, Any]
     deadline_wall: float | None = None
+    token_name: str | None = None  # the submitted cancel token's name
 
 
 def _portable_exception(exc: BaseException) -> BaseException:
@@ -187,7 +189,7 @@ def _portable_exception(exc: BaseException) -> BaseException:
 
 def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: Any) -> None:
     """Worker-process entry point (module-level: spawn needs to import it)."""
-    listener = WorkerCancelListener(cancel_conn, on_signal=rtrace.set_worker_signal)
+    listener = WorkerCancelListener(cancel_conn)
     listener.start()
     recorder = TraceRecorder(sink=JsonlSink(cfg.shard_file)) if cfg.shard_file else None
     pid = os.getpid()
@@ -200,7 +202,7 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
 
     if recorder:
         # Align the recorder's own clock too, and make it ambient so task
-        # bodies (e.g. serve's run_batch_timed) can land spans in the
+        # bodies (e.g. a RetryPolicy.run's retry events) land in the
         # shard without threading a recorder argument through pickling.
         recorder.rebase(now())
         ambient = obs_use(recorder)
@@ -210,7 +212,7 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
         message = task_q.get()
         if message is None:
             break
-        tid, name, fn, enc_args, enc_kwargs, deadline_wall = message
+        tid, name, fn, enc_args, enc_kwargs, deadline_wall, token_name = message
         reason = listener.precancelled(tid)
         if reason is not None:
             if recorder:
@@ -229,8 +231,13 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
                 recorder.event("fault", name, ts=now(), task_id=tid, worker=cfg.wid)
             result_q.put(("error", tid, InjectedFault(f"task {name!r} failed by fault plan")))
             continue
-        token = CancelToken(f"{cfg.pool_name}.{tid}")
-        listener.register(tid, token)
+        # A submitted token gets a worker-local stand-in of its name,
+        # which a cancel of the original reaches by message.
+        scope: Any = nullcontext()
+        if token_name is not None:
+            token = CancelToken(token_name)
+            listener.register(tid, token)
+            scope = scoped_token(token)
         attachments = shm_plane.ShmAttachments()
         if recorder:
             recorder.event("task", name, phase="B", ts=now(), task_id=tid, worker=cfg.wid, pid=pid)
@@ -238,7 +245,7 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
             try:
                 args = shm_plane.decode_payload(enc_args, attachments)
                 kwargs = shm_plane.decode_payload(enc_kwargs, attachments)
-                with scoped_token(token):
+                with scope:
                     value = fn(*args, **kwargs)
             finally:
                 attachments.close()
@@ -251,7 +258,8 @@ def _worker_main(cfg: _WorkerConfig, task_q: Any, result_q: Any, cancel_conn: An
         except BaseException as exc:
             result_q.put(("error", tid, _portable_exception(exc)))
         finally:
-            listener.unregister(tid)
+            if token_name is not None:
+                listener.unregister(tid)
             if recorder:
                 recorder.event("task", name, phase="E", ts=now(), task_id=tid, worker=cfg.wid)
     if recorder:
@@ -364,15 +372,6 @@ class ProcessPool(Executor):
         self._watchdog = threading.Thread(target=self._watch, name=f"{name}-watchdog", daemon=True)
         self._watchdog.start()
 
-    def signal(self, name: str, value: Any = True) -> None:
-        """Broadcast an out-of-band named flag to every worker.
-
-        Rides the cancel pipes; workers record it via
-        :func:`repro.obs.rtrace.set_worker_signal` before their next
-        ``recv`` completes.  Sent once per call, best-effort.
-        """
-        self._channel.broadcast_signal(name, value)
-
     def _watch(self) -> None:
         """Fail fast when a worker dies instead of hanging its waiters.
 
@@ -459,7 +458,10 @@ class ProcessPool(Executor):
         future = Future(name=name or getattr(fn, "__name__", "task"))
         tid = next(self._tid_counter)
         future.meta["tid"] = tid
-        task = _Task(tid=tid, future=future, fn=fn, args=args, kwargs=kwargs)
+        task = _Task(
+            tid=tid, future=future, fn=fn, args=args, kwargs=kwargs,
+            token_name=cancel.name if cancel is not None else None,
+        )
         if deadline is not None:
             task.deadline_wall = time.time() + deadline
 
@@ -536,7 +538,8 @@ class ProcessPool(Executor):
                 enc_args = shm_plane.encode_payload(task.args, self._arena)
                 enc_kwargs = shm_plane.encode_payload(task.kwargs, self._arena)
                 self._task_q.put(
-                    (task.tid, task.future.name, task.fn, enc_args, enc_kwargs, task.deadline_wall)
+                    (task.tid, task.future.name, task.fn, enc_args, enc_kwargs,
+                     task.deadline_wall, task.token_name)
                 )
             except Exception as exc:  # unpicklable fn/args: fail, don't hang
                 self._shipped.pop(task.tid, None)

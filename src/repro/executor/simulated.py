@@ -33,7 +33,6 @@ from repro.executor.future import Future
 from repro.machine.graph import SegmentGraph
 from repro.machine.listsched import ScheduleResult, simulate_schedule
 from repro.machine.spec import MachineSpec
-from repro.obs import rtrace as _rtrace
 from repro.obs.trace import TraceRecorder, resolve_recorder
 from repro.resilience.cancel import CancelToken, scoped_token
 from repro.resilience.faults import FaultPlan, resolve_faults
@@ -193,16 +192,10 @@ class SimExecutor(Executor):
         except Exception as exc:
             fut.meta["last_sid"] = ctx.current_sid
             self._stack.pop()
-            if _rtrace.active() is not None:
-                # declared-cost virtual span, stamped before completion
-                # so done-callbacks can read it (API parity with threads)
-                fut.meta["rt_span"] = (0.0, float(cost or 0.0), 0)
             fut.set_exception(exc)
             return fut
         fut.meta["last_sid"] = ctx.current_sid
         self._stack.pop()
-        if _rtrace.active() is not None:
-            fut.meta["rt_span"] = (0.0, float(cost or 0.0), 0)
         fut.set_result(value)
         return fut
 

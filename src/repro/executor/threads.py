@@ -58,7 +58,6 @@ from repro.executor.base import (
     strand,
 )
 from repro.executor.future import Future
-from repro.obs import rtrace as _rtrace
 from repro.obs.live.registry import REGISTRY, current_handle
 from repro.obs.trace import TraceRecorder, resolve_recorder
 from repro.resilience.cancel import CancelToken, ambient_stack
@@ -463,7 +462,6 @@ class WorkStealingPool(Executor):
         if tracing:
             trace.event("task", future.name, phase="B", task_id=tid, worker=wid)
             started = time.monotonic()
-        rt_t0 = time.monotonic() if _rtrace.active() is not None else None
         # Ambient-token scope, inlined: a task with no token running at
         # the top of a worker loop (empty stack) needs no push at all; a
         # nested task (helping) still pushes None so it does not inherit
@@ -478,15 +476,10 @@ class WorkStealingPool(Executor):
             # fails, the worker lives on to run the next one.
             if pushed:
                 tok_stack.pop()
-            if rt_t0 is not None:
-                # stamp before completion: done-callbacks read the meta
-                future.meta["rt_span"] = (rt_t0, time.monotonic(), wid)
             future.set_exception(exc)
         else:
             if pushed:
                 tok_stack.pop()
-            if rt_t0 is not None:
-                future.meta["rt_span"] = (rt_t0, time.monotonic(), wid)
             future.set_result(value)
         finally:
             tid_stack.pop()

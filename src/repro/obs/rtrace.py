@@ -21,45 +21,44 @@ cache      cache lookup; for coalesced followers, the whole wait on
            the in-flight leader
 batch      waiting for the micro-batch to close (a free core, company or
            age-out)
-queue      closed batch waiting for a free core / pool worker
-execute    the batch body running (virtual cost under sim, measured
-           where it actually ran on real backends)
+queue      closed batch waiting for a free core; on real backends up
+           to the start of this request's call (pool queue, the task
+           pipe on processes, batchmates that run before it)
+execute    the batch's virtual cost in driven mode; on real backends
+           this request's call, timed where it ran
 retry      re-execution after a failed attempt (immediate, so
            zero-width in driven mode)
-resolve    completion delivery (callback/transit residual on real
-           backends; zero-width in driven mode)
+resolve    call end to the gateway's callback (on processes the return
+           trip: result pipe, collector, callback; zero-width in
+           driven mode)
 =========  ==========================================================
 
 The clock is whatever the gateway uses — virtual seconds under the
 driven (sim/inline) mode, so golden reports stay byte-stable, and
-``time.monotonic()`` wall seconds on real pools (see the fidelity note
-in DESIGN.md).
+``time.monotonic()`` wall seconds on real pools, where the batch body
+(:func:`repro.serve.batching.run_batch_timed`) stamps each call's start
+and end on that same host-wide clock (see the fidelity note in
+DESIGN.md).
 
 Zero overhead when off, same discipline as ``NullMetrics``: the gateway
-keeps ``req.rt is None`` fast paths, and executors consult the ambient
-:func:`active` collector (installed by :func:`use_rtrace`) with one
-module-global read before stamping ``future.meta``.  This module
-imports nothing from the executor or serve packages, so every layer may
-depend on it without cycles.
+keeps ``req.rt is None`` fast paths, and nothing outside the gateway
+and its batch body holds request-tracing state.  This module imports
+nothing from the executor or serve packages, so every layer may depend
+on it without cycles.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "STAGES",
     "RequestTrace",
     "RequestSummary",
     "RequestTraceCollector",
-    "active",
-    "use_rtrace",
-    "set_worker_signal",
-    "worker_signal",
 ]
 
 #: canonical stage order (also the display order of the decomposition)
@@ -99,7 +98,6 @@ class RequestTrace:
         "arrival",
         "marks",
         "attempts",
-        "worker",
         "pid",
         "cached",
         "status",
@@ -111,7 +109,6 @@ class RequestTrace:
         self.arrival = arrival
         self.marks: list[tuple[str, float]] = []
         self.attempts = 1
-        self.worker: int | None = None
         self.pid: int | None = None
         self.cached = False
         self.status = "open"
@@ -222,8 +219,6 @@ class RequestTraceCollector:
     happens under the gateway mutex or its single resolving callback.
     """
 
-    enabled = True
-
     def __init__(self, exemplars: int = 24) -> None:
         if exemplars < 1:
             raise ValueError(f"exemplars must be >= 1, got {exemplars}")
@@ -310,54 +305,3 @@ class RequestTraceCollector:
             exemplars=exemplars,
         )
 
-
-# -- ambient collector (executor meta-stamp gating) --------------------------
-
-#: module-global, not thread-local: pool worker threads and future
-#: callbacks must see the collector the driver installed.
-_active: RequestTraceCollector | None = None
-
-
-def active() -> RequestTraceCollector | None:
-    """The ambient collector installed by :func:`use_rtrace`, if any.
-
-    Executors guard their ``future.meta`` execution-span stamps on this
-    single global read, the request-tracing analogue of
-    ``trace.enabled``.
-    """
-    return _active
-
-
-@contextmanager
-def use_rtrace(collector: RequestTraceCollector) -> Iterator[RequestTraceCollector]:
-    """Install ``collector`` as the ambient request-trace collector.
-
-    Deliberately process-global (unlike :func:`repro.obs.trace.use`):
-    execution spans are stamped on pool worker threads that never see
-    the installer's thread-locals.  Not reentrant across concurrent
-    gateways — one traced serve run per process at a time.
-    """
-    global _active
-    prev = _active
-    _active = collector
-    try:
-        yield collector
-    finally:
-        _active = prev
-
-
-# -- worker-process signals ---------------------------------------------------
-
-#: signals broadcast by the parent over :mod:`repro.resilience.remote`
-#: (e.g. ``serve.rtrace`` enabling per-request shard spans); worker-local.
-_worker_signals: dict[str, Any] = {}
-
-
-def set_worker_signal(name: str, value: Any) -> None:
-    """Record a parent signal inside a worker process (listener callback)."""
-    _worker_signals[name] = value
-
-
-def worker_signal(name: str, default: Any = None) -> Any:
-    """Read a parent signal inside a worker process."""
-    return _worker_signals.get(name, default)

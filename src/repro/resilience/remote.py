@@ -6,7 +6,8 @@ to both the canceller and the task body.  Across a process boundary the
 token object cannot be shared, so cancellation becomes a *message*: the
 parent broadcasts ``(tid, reason)`` on a one-way pipe per worker, and a
 listener thread inside each worker re-raises the signal against the
-worker-local token registered for that task id.
+worker-local token registered for that task id.  The pipes carry
+cancels and nothing else.
 
 Two races are handled explicitly:
 
@@ -27,7 +28,7 @@ packages already import resilience (the reverse import would cycle).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.resilience.cancel import CancelToken
 
@@ -60,26 +61,10 @@ class RemoteCancelChannel:
                 return
             for conn in self._connections:
                 try:
-                    conn.send(("cancel", tid, reason))
+                    conn.send((tid, reason))
                 except (OSError, ValueError, BrokenPipeError):
                     pass  # a dead worker cannot run the task anyway
             self.sent += 1
-
-    def broadcast_signal(self, name: str, value: object = True) -> None:
-        """Fan an out-of-band named flag to every worker.
-
-        Rides the cancel pipes (same wire shape, different kind tag);
-        workers surface it through the listener's ``on_signal`` hook.
-        Best-effort, like cancels: dead workers are skipped.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            for conn in self._connections:
-                try:
-                    conn.send(("signal", name, value))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
 
     def close(self) -> None:
         """Close every worker pipe; further broadcasts become no-ops."""
@@ -97,20 +82,16 @@ class RemoteCancelChannel:
 class WorkerCancelListener:
     """Worker-side receiver: routes cancel signals to per-task tokens.
 
-    The worker registers a fresh :class:`CancelToken` under the task id
-    just before running the body and unregisters it after; the listener
+    For a task submitted with a token, the worker registers a fresh
+    :class:`CancelToken` of the same name under the task id just before
+    running the body and unregisters it after; the listener
     thread cancels the registered token when a matching signal arrives.
     Signals for unregistered tids become *pre-cancels* the worker checks
     at dequeue time.
     """
 
-    def __init__(
-        self,
-        connection: "Connection",
-        on_signal: Callable[[str, object], None] | None = None,
-    ) -> None:
+    def __init__(self, connection: "Connection") -> None:
         self._connection = connection
-        self._on_signal = on_signal
         self._lock = threading.Lock()
         self._tokens: dict[int, CancelToken] = {}
         self._precancelled: dict[int, str] = {}
@@ -125,19 +106,9 @@ class WorkerCancelListener:
     def _listen(self) -> None:
         while True:
             try:
-                message = self._connection.recv()
+                tid, reason = self._connection.recv()
             except (EOFError, OSError):
                 return  # parent closed the channel: shutdown
-            if not (isinstance(message, tuple) and len(message) == 3):
-                continue
-            kind, tid, reason = message
-            if kind == "signal":
-                # (kind, name, value) — non-cancel out-of-band flags
-                if self._on_signal is not None:
-                    self._on_signal(tid, reason)
-                continue
-            if kind != "cancel":
-                continue
             with self._lock:
                 token = self._tokens.get(tid)
                 if token is None:

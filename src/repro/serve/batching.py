@@ -21,7 +21,9 @@ pin that batching changes *when* work runs, never *what* it computes.
 :func:`run_batch` is the module-level body the gateway submits — it must
 be importable by name so the processes backend can pickle it.  Failures
 are per-item: one bad request in a batch yields one ``("err", exc)``
-slot without poisoning its batchmates.
+slot without poisoning its batchmates.  A gateway that traces requests
+on a real pool submits :func:`run_batch_timed` instead: the one place a
+traced request's execution is timed, on the host-wide monotonic clock.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
-
-from repro.obs import rtrace
-from repro.obs.trace import current_recorder
 
 __all__ = ["Batch", "BatchPolicy", "MicroBatcher", "run_batch", "run_batch_timed"]
 
@@ -156,40 +155,25 @@ def run_batch(
 
 def run_batch_timed(
     calls: Sequence[tuple[Callable[..., Any], tuple, dict]],
-    rids: Sequence[int] | None = None,
 ) -> tuple[list[tuple[str, Any]], dict[str, Any]]:
-    """:func:`run_batch` plus measured-where-it-ran timing.
+    """:func:`run_batch` plus where each call ran.
 
-    Returns ``(pairs, info)`` where ``pairs`` matches ``run_batch``'s
-    output and ``info`` carries ``pid`` (the executing process), per-call
-    ``durs`` and the batch ``total`` in wall seconds — the gateway slots
-    these into each request's stage trace so ``execute`` is attributed
-    to the clock it actually spent, not to callback transit.
-
-    Inside a process worker that was signalled ``serve.rtrace`` (see
-    ``Executor.signal``), each call additionally lands a per-request
-    ``rexec`` span in the worker's trace shard, so merged shards carry
-    pid-attributed request execution.  Module-level and picklable, like
-    :func:`run_batch`.
+    Returns ``(pairs, info)``: ``pairs`` as :func:`run_batch` returns
+    them, and ``info`` with ``pid`` (the process that ran the batch) and
+    ``spans``, one ``(start, end)`` per call on ``time.monotonic()``.
+    That is the clock the gateway's ``WallClock`` reads, and every
+    process on the host shares it, so the gateway marks each traced
+    request's ``queue`` at its call's start and ``execute`` at its end
+    on any backend.  Module-level and picklable, like :func:`run_batch`.
     """
-    recorder = current_recorder()
-    shard = recorder.enabled and rtrace.worker_signal("serve.rtrace")
-    pid = os.getpid()
+    clock = time.monotonic
     out: list[tuple[str, Any]] = []
-    durs: list[float] = []
-    batch_t0 = time.monotonic()
-    for i, (fn, args, kwargs) in enumerate(calls):
-        t0 = time.monotonic()
+    spans: list[tuple[float, float]] = []
+    for fn, args, kwargs in calls:
+        start = clock()
         try:
             out.append(("ok", fn(*args, **kwargs)))
         except Exception as exc:  # noqa: BLE001 — per-item isolation is the point
             out.append(("err", exc))
-        t1 = time.monotonic()
-        durs.append(t1 - t0)
-        if shard and rids is not None and i < len(rids):
-            off = time.monotonic() - recorder.now()
-            recorder.emit_span(
-                "rexec", f"req:{rids[i]}", t0 - off, t1 - off, pid=pid
-            )
-    total = time.monotonic() - batch_t0
-    return out, {"pid": pid, "durs": durs, "total": total}
+        spans.append((start, clock()))
+    return out, {"pid": os.getpid(), "spans": spans}

@@ -45,9 +45,7 @@ executor's ``ExecutorShutdown`` stranded-future guarantee.
 from __future__ import annotations
 
 import heapq
-import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -159,9 +157,8 @@ class Gateway:
         self.retry = retry or _DEFAULT_RETRY
         self.trace = resolve_recorder(trace)
         self.rtrace = rtrace
-        # thread mode measures execution where it runs: batches go
-        # through run_batch_timed and workers are told to emit
-        # per-request shard spans (no-op on backends without pipes)
+        # traced thread mode times each call where it runs: batches go
+        # through run_batch_timed
         self._timed = rtrace is not None and not driven
         self.stats = GatewayStats()
         self._admission = AdmissionController(admission, now=self.clock.now())
@@ -185,8 +182,6 @@ class Gateway:
         self._completions: list[tuple[float, int, list[_Request], Any, int]] = []
         self._seq = 0
         self._dispatcher: threading.Thread | None = None
-        if self._timed:
-            self.executor.signal("serve.rtrace", True)
         if not driven:
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="serve-dispatcher", daemon=True
@@ -652,16 +647,8 @@ class Gateway:
     def _send_thread(self, batches: list[list[_Request]], attempt: int) -> None:
         """Hand every batch of one dispatch to the executor in a single
         ``submit_many``; each resolves from its future's done-callback."""
-        calls = [[(r.fn, r.args, r.kwargs) for r in reqs] for reqs in batches]
-        if self._timed:
-            fn: Callable[..., Any] = run_batch_timed
-            arg_tuples: list[tuple] = [
-                (c, [r.ticket.request_id for r in reqs])
-                for c, reqs in zip(calls, batches)
-            ]
-        else:
-            fn = run_batch
-            arg_tuples = [(c,) for c in calls]
+        fn = run_batch_timed if self._timed else run_batch
+        arg_tuples = [([(r.fn, r.args, r.kwargs) for r in reqs],) for reqs in batches]
         try:
             futures = self.executor.submit_many(fn, arg_tuples, name="serve")
         except ExecutorShutdown as exc:
@@ -688,8 +675,11 @@ class Gateway:
         self, future: Future, survivors: list[_Request], attempt: int
     ) -> None:
         """A batch's future resolved, on whichever thread resolved it: a
-        failure is retried or fails the batch; results get their
-        execution span attributed, then ``_complete_locked``."""
+        failure is retried or fails the batch.  A traced batch's body
+        stamped each call on the host-wide monotonic clock: each request
+        marks ``queue`` (or ``retry``) at its call's start and
+        ``execute`` at its end, then ``_complete_locked`` marks
+        ``resolve`` now."""
         exc = future.exception()
         if exc is not None:
             with self._lock:
@@ -701,47 +691,15 @@ class Gateway:
                 else:
                     self._fail_batch_locked(survivors, exc, attempt)
             return
-        raw = future.result()
-        if self._timed:
-            results, info = raw
-        else:
-            results, info = raw, None
+        results = future.result()
         now = self.clock.now()
-        # Execution-span attribution: threads/inline stamp the span on
-        # the future's meta (same time.monotonic() epoch as WallClock);
-        # process workers can't, so reconstruct from the measured batch
-        # total — callback transit then lands in the resolve stage.
-        base = wid = pid = None
-        cum: list[float] = []
-        if info is not None:
-            pid = info["pid"]
-            durs = info["durs"]
-            span = getattr(future, "meta", {}).get("rt_span")
-            if span is not None:
-                base, _, wid = span
-            else:
-                base = now - info["total"]
-            acc = 0.0
-            for d in durs:
-                cum.append(acc)
-                acc += d
-            if span is not None and self.trace.enabled:
-                off = time.monotonic() - self.trace.now()
-                for i, req in enumerate(survivors):
-                    self.trace.emit_span(
-                        "rexec",
-                        f"req:{req.ticket.request_id}",
-                        base + cum[i] - off,
-                        base + cum[i] + durs[i] - off,
-                        worker=wid if wid is not None else 0,
-                        pid=os.getpid(),
-                    )
         with self._lock:
-            if base is not None:
-                for i, req in enumerate(survivors):
+            if self._timed:
+                results, info = results
+                waited = "retry" if attempt > 1 else "queue"
+                for req, (start, end) in zip(survivors, info["spans"]):
                     if req.rt is not None:
-                        req.rt.mark("retry" if attempt > 1 else "queue", base + cum[i])
-                        req.rt.mark("execute", base + cum[i] + durs[i])
-                        req.rt.worker = wid
-                        req.rt.pid = pid
+                        req.rt.mark(waited, start)
+                        req.rt.mark("execute", end)
+                        req.rt.pid = info["pid"]
             self._complete_locked(survivors, results, now, attempt)

@@ -2,7 +2,7 @@
 
 Spawn-started workers unpickle a task's function by import path, so
 these live in a small module of their own: importing it pulls in NumPy
-and nothing from the test machinery.
+and ``repro.resilience`` and nothing from the test machinery.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ import os
 import time
 
 import numpy as np
+
+from repro.resilience import current_token
 
 #: The variables BLAS and OpenMP runtimes size their thread pools from.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -67,6 +69,16 @@ def exit_with(code: int) -> None:
 def kill_worker(code: int, *_payload: object) -> None:
     """End the process running this body at once, as a crash would."""
     os._exit(code)
+
+
+def token_name() -> str | None:
+    """The name of the ambient cancel token the body runs under, if any.
+
+    The token itself cannot travel back from a worker process: it holds
+    a lock, which does not pickle.
+    """
+    token = current_token()
+    return token.name if token is not None else None
 
 
 def touch(path: str) -> None:

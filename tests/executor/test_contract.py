@@ -187,10 +187,13 @@ class TestCancel:
         assert not any(m.exists() for m in marks)
 
     def test_running_task_sees_its_token(self, ex, backend):
-        if backend.capabilities.out_of_process:
-            pytest.skip("the ambient token does not cross the process boundary")
         token = CancelToken("coop")
-        assert ex.submit(current_token, cancel=token).result(timeout=10) is token
+        assert ex.submit(spawn_tasks.token_name, cancel=token).result(timeout=10) == "coop"
+        if not backend.capabilities.out_of_process:
+            assert ex.submit(current_token, cancel=token).result(timeout=10) is token
+
+    def test_task_without_a_token_sees_none(self, ex):
+        assert ex.submit(spawn_tasks.token_name).result(timeout=10) is None
 
 
 class TestDeadline:

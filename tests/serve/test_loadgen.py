@@ -100,3 +100,20 @@ class TestRunServeThreads:
         )
         assert report.completed + report.failed + report.shed_total == 2000
         assert report.shed_total > 0
+
+
+class TestRunServeProcesses:
+    def test_first_paced_request_does_not_wait_out_worker_start(self):
+        # the pool run_serve builds is warmed before the first arrival:
+        # without that, the first requests wait for the workers to spawn
+        report = run_serve(
+            "steady",
+            backend="processes",
+            cores=2,
+            requests=50,
+            base_rate=500.0,
+            seed=5,
+            time_scale=1.0,
+        )
+        assert report.completed == 50
+        assert report.latencies[0] < 0.1
